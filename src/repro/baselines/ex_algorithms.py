@@ -1,17 +1,12 @@
 """EX-* baselines: Li et al. (ICDE'15) node samplers on the line graph.
 
-Each sampler runs k post-burn-in steps on G' (implicit line graph,
-see ``repro.baselines.linegraph``) and estimates the count of target
-nodes of G' — i.e. target edges of G — using the stationary
-distribution of its chain:
-
-- EX-RW    simple RW, pi' ∝ deg', re-weighted ratio estimator
-- EX-MHRW  Metropolis–Hastings, pi' uniform, plain mean
-- EX-MDRW  maximum-degree RW (cap = max deg'), pi' uniform, plain mean
-- EX-RCMH  rejection-controlled MH (alpha), pi' ∝ deg'^(1-alpha),
-           re-weighted with w = deg'^(alpha-1)
-- EX-GMD   general maximum-degree (cap = delta * max deg'),
-           pi' ∝ max(deg', cap), re-weighted with w = 1/max(deg', cap)
+Each sampler runs k post-burn-in steps of one chain on G' (implicit
+line graph, see ``repro.baselines.linegraph``) and estimates the count
+of target nodes of G' — i.e. target edges of G — with the re-weighted
+ratio |E| Σ I(e_i) w(e_i) / Σ w(e_i), where w ∝ 1/pi' undoes the
+chain's stationary distribution pi': uniform for EX-MHRW and EX-MDRW,
+∝ deg' for EX-RW, ∝ deg'^(1-alpha) for EX-RCMH and ∝ max(deg', cap)
+for EX-GMD. ``CHAINS`` holds each sampler's (step, weight) pair.
 
 The exact RCMH/GMD pseudocode of ICDE'15 is not available offline; the
 constructions above recover the named special cases (alpha→{0,1} ⇒
@@ -26,70 +21,52 @@ from repro.baselines import linegraph as lg
 from repro.core.estimators import reweighted_ratio
 from repro.graphs.csr import CSR
 
-DEFAULT_ALPHA = 0.3
-DEFAULT_DELTA = 0.5
+ALPHA = 0.3
+DELTA = 0.5
+
+# name -> (step(csr, arcs, rng, line_deg, m), weight(deg', m)), m = max deg'.
+CHAINS = {
+    "EX-RW": (
+        lambda csr, a, rng, ld, m: lg.lg_srw_step(csr, a, rng),
+        lambda d, m: 1.0 / np.maximum(d, 1.0),
+    ),
+    "EX-MHRW": (
+        lambda csr, a, rng, ld, m: lg.lg_mh_step(csr, a, rng, ld, beta=0.0),
+        lambda d, m: np.ones_like(d),
+    ),
+    "EX-RCMH": (
+        lambda csr, a, rng, ld, m: lg.lg_mh_step(csr, a, rng, ld, beta=1.0 - ALPHA),
+        lambda d, m: np.maximum(d, 1.0) ** (ALPHA - 1.0),
+    ),
+    "EX-MDRW": (
+        lambda csr, a, rng, ld, m: lg.lg_capped_step(csr, a, rng, ld, m),
+        lambda d, m: np.ones_like(d),
+    ),
+    "EX-GMD": (
+        lambda csr, a, rng, ld, m: lg.lg_capped_step(csr, a, rng, ld, DELTA * m),
+        lambda d, m: 1.0 / np.maximum(d, DELTA * m),
+    ),
+}
 
 
-def _run(csr: CSR, step, k: int, burnin: int, n_sims: int,
-         rng: np.random.Generator) -> np.ndarray:
-    """Run a kernel; returns (n_sims, k) sampled undirected edge ids."""
+def walk(csr: CSR, line_deg: np.ndarray, name: str, k: int, burnin: int,
+         n_sims: int, rng: np.random.Generator) -> np.ndarray:
+    """Burn in, then walk k steps of ``name``'s chain; returns
+    (n_sims, k) sampled undirected edge ids."""
+    step = CHAINS[name][0]
+    m = float(line_deg.max())
     arcs = lg.uniform_start_arcs(csr, n_sims, rng)
     for _ in range(burnin):
-        arcs = step(arcs)
+        arcs = step(csr, arcs, rng, line_deg, m)
     out = np.empty((n_sims, k), dtype=np.int64)
     for t in range(k):
-        arcs = step(arcs)
+        arcs = step(csr, arcs, rng, line_deg, m)
         out[:, t] = csr.edge_ids[arcs]
     return out
 
 
-def ex_rw(csr: CSR, line_deg: np.ndarray, edge_ind: np.ndarray, k: int,
-          burnin: int, n_sims: int, rng: np.random.Generator) -> np.ndarray:
-    ids = _run(csr, lambda a: lg.lg_srw_step(csr, a, rng), k, burnin, n_sims, rng)
-    i = edge_ind[ids].astype(np.float64)
-    dp = np.maximum(line_deg[ids].astype(np.float64), 1.0)
-    return reweighted_ratio(i / dp, 1.0 / dp, float(csr.n_edges))
-
-
-def ex_mhrw(csr: CSR, line_deg: np.ndarray, edge_ind: np.ndarray, k: int,
-            burnin: int, n_sims: int, rng: np.random.Generator) -> np.ndarray:
-    ids = _run(
-        csr, lambda a: lg.lg_mh_step(csr, a, rng, line_deg, beta=0.0),
-        k, burnin, n_sims, rng,
-    )
-    return csr.n_edges * edge_ind[ids].astype(np.float64).mean(axis=1)
-
-
-def ex_mdrw(csr: CSR, line_deg: np.ndarray, edge_ind: np.ndarray, k: int,
-            burnin: int, n_sims: int, rng: np.random.Generator) -> np.ndarray:
-    cap = float(line_deg.max())
-    ids = _run(
-        csr, lambda a: lg.lg_capped_step(csr, a, rng, line_deg, cap),
-        k, burnin, n_sims, rng,
-    )
-    return csr.n_edges * edge_ind[ids].astype(np.float64).mean(axis=1)
-
-
-def ex_rcmh(csr: CSR, line_deg: np.ndarray, edge_ind: np.ndarray, k: int,
-            burnin: int, n_sims: int, rng: np.random.Generator,
-            alpha: float = DEFAULT_ALPHA) -> np.ndarray:
-    ids = _run(
-        csr, lambda a: lg.lg_mh_step(csr, a, rng, line_deg, beta=1.0 - alpha),
-        k, burnin, n_sims, rng,
-    )
-    i = edge_ind[ids].astype(np.float64)
-    w = np.maximum(line_deg[ids].astype(np.float64), 1.0) ** (alpha - 1.0)
-    return reweighted_ratio(i * w, w, float(csr.n_edges))
-
-
-def ex_gmd(csr: CSR, line_deg: np.ndarray, edge_ind: np.ndarray, k: int,
-           burnin: int, n_sims: int, rng: np.random.Generator,
-           delta: float = DEFAULT_DELTA) -> np.ndarray:
-    cap = delta * float(line_deg.max())
-    ids = _run(
-        csr, lambda a: lg.lg_capped_step(csr, a, rng, line_deg, cap),
-        k, burnin, n_sims, rng,
-    )
-    i = edge_ind[ids].astype(np.float64)
-    w = 1.0 / np.maximum(line_deg[ids].astype(np.float64), cap)
-    return reweighted_ratio(i * w, w, float(csr.n_edges))
+def estimate(name: str, edge_ids: np.ndarray, line_deg: np.ndarray,
+             edge_ind: np.ndarray, n_edges: int) -> np.ndarray:
+    """Per-row estimate of F from ``name``'s sampled edge ids."""
+    w = CHAINS[name][1](line_deg[edge_ids].astype(np.float64), float(line_deg.max()))
+    return reweighted_ratio(edge_ind[edge_ids] * w, w, float(n_edges))

@@ -1,1 +1,1 @@
-"""The paper's contribution: NeighborSample / NeighborExploration samplers, their five estimators, Theorem 4.1-4.5 bounds, and a pure-Catalyst walk engine."""
+"""The paper's contribution: NeighborSample / NeighborExploration samplers, their five estimators and Theorem 4.1-4.5 bounds."""

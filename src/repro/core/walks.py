@@ -57,25 +57,3 @@ def srw_trajectory(csr: CSR, pos: np.ndarray, steps: int,
         nodes[:, t] = pos
         arcs[:, t] = a
     return nodes, arcs
-
-
-def mh_step(csr: CSR, pos: np.ndarray, rng: np.random.Generator,
-            log_target_of_degree: np.ndarray) -> np.ndarray:
-    """Metropolis–Hastings step with SRW proposal targeting a
-    distribution that is a function of degree.
-
-    ``log_target_of_degree[u]`` must hold log pi~(u) (unnormalized) per
-    *node*. Acceptance from u to proposed v is
-    min(1, [pi~(v)/d(v)] / [pi~(u)/d(u)]) since the SRW proposal is
-    q(u,v)=1/d(u).
-    """
-    d = csr.indptr[pos + 1] - csr.indptr[pos]
-    offs = rng.integers(0, d)
-    prop = csr.indices[csr.indptr[pos] + offs]
-    dp = csr.indptr[prop + 1] - csr.indptr[prop]
-    log_ratio = (
-        log_target_of_degree[prop] - np.log(dp)
-        - log_target_of_degree[pos] + np.log(d)
-    )
-    accept = np.log(rng.random(pos.shape[0])) < log_ratio
-    return np.where(accept, prop, pos)

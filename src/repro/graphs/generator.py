@@ -99,15 +99,6 @@ def ba_edges(n: int, m: int, seed: int = 0) -> np.ndarray:
     return np.unique(out, axis=0)
 
 
-def gender_labels(n: int, p: float, seed: int = 0) -> np.ndarray:
-    """i.i.d. binary labels {1, 2}; label 1 with probability ``p``.
-
-    Expected cross-edge fraction is ``2 p (1-p)``.
-    """
-    rng = np.random.default_rng(seed)
-    return np.where(rng.random(n) < p, 1, 2).astype(np.int64)
-
-
 def homophilous_binary_labels(edges: np.ndarray, n: int, p: float,
                               smoothing: float, seed: int = 0) -> np.ndarray:
     """Binary labels {1, 2} with homophily (assortative mixing).

@@ -29,7 +29,7 @@ from repro.baselines import ex_algorithms as ex
 from repro.baselines.linegraph import line_degrees
 from repro.core import neighbor_exploration as ne
 from repro.core import neighbor_sample as ns
-from repro.graphs.csr import CSR, build_csr, edge_indicator, t_counts
+from repro.graphs.csr import build_csr, edge_indicator, t_counts
 from repro.graphs.generator import LabeledGraph
 from repro.harness.nrmse import nrmse_agg
 
@@ -54,42 +54,44 @@ DEFAULT_FRACS = tuple(round(0.005 * i, 4) for i in range(1, 11))
 
 
 def build_context(g: LabeledGraph, pair: tuple[int, int], burnin: int) -> dict:
-    """Precompute every array the samplers need (driver side, once)."""
+    """Precompute every array the samplers need (driver side, once).
+
+    Raises ValueError on a graph with an isolated node (no walk can
+    leave it, and NE divides by d(u)) or a pair with no target edge
+    (NRMSE divides by F).
+    """
     csr = build_csr(g.edges, g.n)
+    isolated = np.flatnonzero(csr.degrees == 0)
+    if isolated.size:
+        raise ValueError(
+            f"{g.name}: {isolated.size} isolated node(s), e.g. {isolated[:5].tolist()}")
     ind = edge_indicator(g.edges, g.labels, pair[0], pair[1])
+    n_target = int(ind.sum())
+    if n_target == 0:
+        raise ValueError(f"{g.name}: no edge carries target labels {pair}")
     if pair[0] == pair[1]:
         has_target = g.labels == pair[0]
     else:
         has_target = (g.labels == pair[0]) | (g.labels == pair[1])
     return {
+        "csr": csr,
         "has_target": has_target,
         "explore_cost": ne.explore_cost(csr.degrees),
-        "indptr": csr.indptr, "indices": csr.indices, "tails": csr.tails,
-        "edge_ids": csr.edge_ids, "rev": csr.rev, "pos": csr.pos,
-        "edges": csr.edges,
         "edge_ind": ind,
         "t_counts": t_counts(g.edges, g.labels, g.n, pair[0], pair[1]),
         "degrees": csr.degrees,
         "line_deg": line_degrees(csr),
         "n_nodes": g.n, "n_edges": g.n_edges,
         "burnin": int(burnin),
-        "F": int(ind.sum()),
+        "F": n_target,
     }
-
-
-def _csr_from_ctx(ctx: dict) -> CSR:
-    return CSR(
-        n=ctx["n_nodes"], indptr=ctx["indptr"], indices=ctx["indices"],
-        tails=ctx["tails"], edge_ids=ctx["edge_ids"], rev=ctx["rev"],
-        pos=ctx["pos"], edges=ctx["edges"],
-    )
 
 
 def run_sampler(ctx: dict, sampler: str, k: int, n_sims: int,
                 rng: np.random.Generator) -> dict[str, np.ndarray]:
     """Run one chain for a chunk of simulations; return per-algorithm
     estimate vectors of length n_sims."""
-    csr = _csr_from_ctx(ctx)
+    csr = ctx["csr"]
     burnin = ctx["burnin"]
     if sampler == "NS":
         eids = ns.sample_edges_batch(csr, k, burnin, n_sims, rng)
@@ -111,12 +113,9 @@ def run_sampler(ctx: dict, sampler: str, k: int, n_sims: int,
             "NeighborExploration-RW": ne.rw_estimate(
                 nodes, ctx["t_counts"], ctx["degrees"], ctx["n_nodes"], n_steps),
         }
-    fn = {
-        "EX-RW": ex.ex_rw, "EX-MHRW": ex.ex_mhrw, "EX-MDRW": ex.ex_mdrw,
-        "EX-RCMH": ex.ex_rcmh, "EX-GMD": ex.ex_gmd,
-    }[sampler]
-    est = fn(csr, ctx["line_deg"], ctx["edge_ind"], k, burnin, n_sims, rng)
-    return {sampler: est}
+    eids = ex.walk(csr, ctx["line_deg"], sampler, k, burnin, n_sims, rng)
+    return {sampler: ex.estimate(
+        sampler, eids, ctx["line_deg"], ctx["edge_ind"], ctx["n_edges"])}
 
 
 def simulate_all(spark: SparkSession, ctx: dict,

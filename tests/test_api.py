@@ -103,3 +103,39 @@ class TestReferenceSamplers:
             ]
             ests.append(g.n_edges * np.mean(hits))
         assert np.mean(ests) == pytest.approx(F, rel=0.15)
+
+
+class TestEnginesMatchReference:
+    """The vectorized engines, run with one walker, make the same random
+    draws as the API-level references of Algorithms 1 and 2, so with the
+    same seed they must sample exactly the same trajectory."""
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        g = H.small_random(200, 8, seed=60)
+        return g, H.csr_of(g)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_neighbor_sample(self, graph, seed):
+        from repro.core import neighbor_sample as ns
+
+        g, csr = graph
+        api = osn_api.RestrictedGraphAPI(csr, g.labels)
+        ref = osn_api.neighbor_sample_ref(api, 30, 20, np.random.default_rng(seed))
+        eids = ns.sample_edges_batch(csr, 30, 20, 1, np.random.default_rng(seed))[0]
+        assert eids.tolist() == [int(csr.edge_ids[csr.arc_of(u, v)]) for u, v in ref]
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_neighbor_exploration(self, graph, seed):
+        from repro.core import neighbor_exploration as ne
+        from repro.graphs.csr import t_counts
+
+        g, csr = graph
+        api = osn_api.RestrictedGraphAPI(csr, g.labels)
+        sample, t_map = osn_api.neighbor_exploration_ref(
+            api, 30, 20, 1, 2, np.random.default_rng(seed))
+        nodes = ne.sample_nodes_batch(csr, 30, 20, 1, np.random.default_rng(seed))[0]
+        assert nodes.tolist() == sample
+        truth = t_counts(g.edges, g.labels, g.n, 1, 2)
+        targets = [u for u in sample if g.labels[u] in (1, 2)]
+        assert t_map == {u: int(truth[u]) for u in targets}

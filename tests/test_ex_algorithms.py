@@ -3,12 +3,14 @@ import numpy as np
 import pytest
 
 from repro.baselines import ex_algorithms as ex
+from repro.baselines import linegraph as lg
 from repro.baselines.linegraph import line_degrees
 from repro.graphs.csr import edge_indicator
 from tests import _helpers as H
 
-ALL = [("EX-RW", ex.ex_rw), ("EX-MHRW", ex.ex_mhrw), ("EX-MDRW", ex.ex_mdrw),
-       ("EX-RCMH", ex.ex_rcmh), ("EX-GMD", ex.ex_gmd)]
+# Ids keep the "<row>-ex_<row>" form the suite has always reported, so
+# per-test results stay comparable over time.
+ALL = [pytest.param(n, id=f"{n}-ex_{n[3:].lower()}") for n in ex.CHAINS]
 
 
 @pytest.fixture(scope="module")
@@ -20,56 +22,87 @@ def setup():
     return g, csr, ld, ind, int(ind.sum())
 
 
+def run(setup, name, k, burnin, n_sims, rng):
+    g, csr, ld, ind, F = setup
+    ids = ex.walk(csr, ld, name, k, burnin, n_sims, rng)
+    return ex.estimate(name, ids, ld, ind, csr.n_edges)
+
+
 class TestBaselines:
-    @pytest.mark.parametrize("name,fn", ALL)
-    def test_shapes_and_finite(self, setup, name, fn):
-        g, csr, ld, ind, F = setup
-        est = fn(csr, ld, ind, 20, 30, 9, np.random.default_rng(0))
+    @pytest.mark.parametrize("name", ALL)
+    def test_shapes_and_finite(self, setup, name):
+        est = run(setup, name, 20, 30, 9, np.random.default_rng(0))
         assert est.shape == (9,)
         assert np.isfinite(est).all()
 
-    @pytest.mark.parametrize("name,fn", ALL)
-    def test_nearly_unbiased(self, setup, name, fn):
-        g, csr, ld, ind, F = setup
-        rng = np.random.default_rng(1)
-        est = fn(csr, ld, ind, 150, 120, 300, rng)
+    @pytest.mark.parametrize("name", ALL)
+    def test_nearly_unbiased(self, setup, name):
+        F = setup[-1]
+        est = run(setup, name, 150, 120, 300, np.random.default_rng(1))
         # MDRW's self-loops make it very noisy; looser tolerance there
         rel = 0.3 if name in ("EX-MDRW", "EX-GMD") else 0.12
         assert est.mean() == pytest.approx(F, rel=rel), name
 
-    @pytest.mark.parametrize("name,fn", ALL)
-    def test_deterministic(self, setup, name, fn):
-        g, csr, ld, ind, F = setup
-        a = fn(csr, ld, ind, 15, 10, 4, np.random.default_rng(5))
-        b = fn(csr, ld, ind, 15, 10, 4, np.random.default_rng(5))
+    @pytest.mark.parametrize("name", ALL)
+    def test_deterministic(self, setup, name):
+        a = run(setup, name, 15, 10, 4, np.random.default_rng(5))
+        b = run(setup, name, 15, 10, 4, np.random.default_rng(5))
         assert (a == b).all()
 
-    def test_rcmh_alpha_zero_matches_rw(self, setup):
-        """alpha=0 makes RCMH the simple re-weighted RW (same chain,
-        same weights) — estimates agree in distribution; with the same
-        seed the proposal streams coincide except for the extra
-        acceptance draws, so we compare statistically."""
+    def test_rcmh_alpha_zero_matches_rw(self, setup, monkeypatch):
+        """alpha=0 makes RCMH the re-weighted RW: its weight is RW's,
+        and its MH step (beta=1) accepts every proposal, so from the
+        same seed one step moves exactly where the RW step does."""
         g, csr, ld, ind, F = setup
-        rng1 = np.random.default_rng(6)
-        rng2 = np.random.default_rng(7)
-        a = ex.ex_rcmh(csr, ld, ind, 150, 80, 200, rng1, alpha=0.0)
-        b = ex.ex_rw(csr, ld, ind, 150, 80, 200, rng2)
-        assert a.mean() == pytest.approx(b.mean(), rel=0.15)
+        monkeypatch.setattr(ex, "ALPHA", 0.0)
+        (rc_step, rc_w), (rw_step, rw_w) = ex.CHAINS["EX-RCMH"], ex.CHAINS["EX-RW"]
+        m = float(ld.max())
+        d = ld.astype(np.float64)
+        assert np.allclose(rc_w(d, m), rw_w(d, m))
+        arcs = lg.uniform_start_arcs(csr, 200, np.random.default_rng(6))
+        a = rc_step(csr, arcs, np.random.default_rng(7), ld, m)
+        b = rw_step(csr, arcs, np.random.default_rng(7), ld, m)
+        assert (a == b).all()
 
-    def test_gmd_delta_one_is_mdrw(self, setup):
-        """delta=1 -> cap = max deg': identical kernel to EX-MDRW."""
-        g, csr, ld, ind, F = setup
-        a = ex.ex_gmd(csr, ld, ind, 30, 20, 50, np.random.default_rng(8), delta=1.0)
-        b = ex.ex_mdrw(csr, ld, ind, 30, 20, 50, np.random.default_rng(8))
-        # same chain; estimators differ only by constant-weight ratio vs
-        # plain mean, which coincide when all weights equal cap.
+    def test_gmd_delta_one_is_mdrw(self, setup, monkeypatch):
+        """delta=1 -> cap = max deg': identical kernel to EX-MDRW, and a
+        constant weight, so the same estimates."""
+        monkeypatch.setattr(ex, "DELTA", 1.0)
+        a = run(setup, "EX-GMD", 30, 20, 50, np.random.default_rng(8))
+        b = run(setup, "EX-MDRW", 30, 20, 50, np.random.default_rng(8))
         assert np.allclose(a, b)
 
     def test_mdrw_noisier_than_mhrw(self, setup):
         """The paper's tables show EX-MDRW far worse than EX-MHRW —
         self-loops burn most of the budget."""
-        g, csr, ld, ind, F = setup
+        F = setup[-1]
         rng = np.random.default_rng(9)
-        md = ex.ex_mdrw(csr, ld, ind, 100, 60, 200, rng)
-        mh = ex.ex_mhrw(csr, ld, ind, 100, 60, 200, rng)
+        md = run(setup, "EX-MDRW", 100, 60, 200, rng)
+        mh = run(setup, "EX-MHRW", 100, 60, 200, rng)
         assert np.sqrt(np.mean((md - F) ** 2)) > np.sqrt(np.mean((mh - F) ** 2))
+
+
+class TestEstimateFormulas:
+    """Hand-checkable trajectory: 4 edges with deg' = 1, 2, 4, 8
+    (max 8), the first and third are target edges, |E| = 10."""
+
+    LD = np.array([1, 2, 4, 8])
+    IND = np.array([1, 0, 1, 0])
+    IDS = np.array([[0, 1, 2, 3], [2, 2, 3, 3]])
+
+    def expected(self, name):
+        d = self.LD[self.IDS].astype(float)
+        i = self.IND[self.IDS]
+        w = {
+            "EX-RW": 1 / d,
+            "EX-MHRW": np.ones_like(d),
+            "EX-RCMH": d ** (ex.ALPHA - 1),
+            "EX-MDRW": np.ones_like(d),
+            "EX-GMD": 1 / np.maximum(d, ex.DELTA * 8),
+        }[name]
+        return 10 * (i * w).sum(axis=1) / w.sum(axis=1)
+
+    @pytest.mark.parametrize("name", list(ex.CHAINS))
+    def test_matches_row_formula(self, name):
+        got = ex.estimate(name, self.IDS, self.LD, self.IND, 10)
+        assert np.allclose(got, self.expected(name), rtol=1e-15)

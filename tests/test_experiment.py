@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from pyspark.sql import functions as F
 
+from repro.graphs.generator import LabeledGraph
 from repro.harness import experiment as ex
 from repro.harness.nrmse import nrmse_agg
 from tests import _helpers as H
@@ -30,6 +31,16 @@ class TestContext:
         g = H.small_random(50, 5, seed=61)
         c = ex.build_context(g, (2, 2), burnin=10)
         assert (c["has_target"] == (g.labels == 2)).all()
+
+    def test_rejects_isolated_node(self):
+        g = LabeledGraph(4, np.array([[0, 1], [1, 2]]), np.array([1, 2, 1, 2]))
+        with pytest.raises(ValueError, match="isolated"):
+            ex.build_context(g, (1, 2), burnin=10)
+
+    def test_rejects_zero_target_edges(self):
+        # path4 is labelled 1,2,1,2: no edge joins two 1s
+        with pytest.raises(ValueError, match="no edge"):
+            ex.build_context(H.path4(), (1, 1), burnin=10)
 
 
 class TestRunSampler:

@@ -79,11 +79,6 @@ class TestBAEdges:
 
 
 class TestLabels:
-    def test_gender_values_and_fraction(self):
-        lab = gen.gender_labels(20000, p=0.7, seed=0)
-        assert set(np.unique(lab)) == {1, 2}
-        assert abs((lab == 1).mean() - 0.7) < 0.02
-
     def test_homophilous_fraction_and_assortativity(self):
         e = gen.ba_edges(2000, 5, seed=1)
         iid = gen.homophilous_binary_labels(e, 2000, 0.5, 0.0, seed=2)
