@@ -10,7 +10,9 @@ walk state is an *arc* of G (a directed copy of the current edge) and a
 uniform G'-neighbor is drawn by (1) picking which endpoint to branch at
 with probability proportional to (d(endpoint) - 1), folded into one
 uniform draw over deg', and (2) rotate-skipping the current edge inside
-that endpoint's adjacency block — O(1) per step, exactly uniform.
+that endpoint's adjacency block — O(1) per step, exactly uniform. The
+tail of arc a is ``indices[rev[a]]`` and its position inside the tail's
+block is ``a - indptr[tail]``; the CSR stores neither.
 """
 from __future__ import annotations
 
@@ -22,7 +24,9 @@ from repro.graphs.csr import CSR
 def line_degrees(csr: CSR) -> np.ndarray:
     """deg'(e) for every undirected edge id."""
     d = csr.degrees
-    return d[csr.edges[:, 0]] + d[csr.edges[:, 1]] - 2
+    out = np.empty(csr.n_edges, dtype=d.dtype)
+    out[csr.edge_ids] = d[csr.indices[csr.rev]] + d[csr.indices] - 2
+    return out
 
 
 def uniform_start_arcs(csr: CSR, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -36,7 +40,8 @@ def lg_uniform_neighbor(csr: CSR, arcs: np.ndarray, rng: np.random.Generator
 
     Walkers whose current edge has deg' = 0 (an isolated edge) stay put.
     """
-    t = csr.tails[arcs]
+    rev = csr.rev[arcs]
+    t = csr.indices[rev]
     h = csr.indices[arcs]
     d = csr.degrees
     dt = d[t]
@@ -44,11 +49,12 @@ def lg_uniform_neighbor(csr: CSR, arcs: np.ndarray, rng: np.random.Generator
     degp = dt + dh - 2
     r = rng.integers(0, np.maximum(degp, 1))
     # Branch at the tail: one of the dt-1 arcs out of t other than `arcs`.
-    na_t = csr.indptr[t] + (csr.pos[arcs] + 1 + r) % dt
+    it = csr.indptr[t]
+    na_t = it + (arcs - it + 1 + r) % dt
     # Branch at the head: skip the reverse arc h->t.
-    rev = csr.rev[arcs]
+    ih = csr.indptr[h]
     r2 = r - (dt - 1)
-    na_h = csr.indptr[h] + (csr.pos[rev] + 1 + np.maximum(r2, 0)) % dh
+    na_h = ih + (rev - ih + 1 + np.maximum(r2, 0)) % dh
     na = np.where(r < dt - 1, na_t, na_h)
     return np.where(degp == 0, arcs, na)
 

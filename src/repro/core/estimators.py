@@ -19,6 +19,19 @@ def hansen_hurwitz(values: np.ndarray, probs: np.ndarray) -> np.ndarray:
     return (values / probs).mean(axis=1)
 
 
+def first_visits(ids: np.ndarray) -> np.ndarray:
+    """(B, L) bool: True where ``ids[i, j]`` is the first occurrence of
+    its value in row i. A stable per-row sort keeps equal ids in step
+    order, so the first of each sorted run is the earliest visit."""
+    order = np.argsort(ids, axis=1, kind="stable")
+    srt = np.take_along_axis(ids, order, axis=1)
+    first = np.ones(ids.shape, dtype=bool)
+    first[:, 1:] = srt[:, 1:] != srt[:, :-1]
+    out = np.empty(ids.shape, dtype=bool)
+    np.put_along_axis(out, order, first, axis=1)
+    return out
+
+
 def horvitz_thompson(values: np.ndarray, incl_probs: np.ndarray,
                      sample_ids: np.ndarray) -> np.ndarray:
     """Generic HT over a batch: sum of value/incl_prob over *distinct*
@@ -28,12 +41,7 @@ def horvitz_thompson(values: np.ndarray, incl_probs: np.ndarray,
     are per-draw unit attributes (repeated draws of a unit carry equal
     values). Duplicates within a row count once, per H(e in S).
     """
-    b = sample_ids.shape[0]
-    out = np.empty(b, dtype=np.float64)
-    for i in range(b):
-        _, first = np.unique(sample_ids[i], return_index=True)
-        out[i] = float((values[i, first] / incl_probs[i, first]).sum())
-    return out
+    return np.where(first_visits(sample_ids), values / incl_probs, 0.0).sum(axis=1)
 
 
 def reweighted_ratio(numer_w: np.ndarray, denom_w: np.ndarray,

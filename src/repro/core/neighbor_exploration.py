@@ -5,7 +5,7 @@ the paper's tables put "sample size = x% |V| API calls" on the x-axis
 (Tables 23–26 say "using 5%|V| API calls"). Each walk step costs one
 call (the friend-list fetch that the step itself requires); when the
 visited node u carries a target label, all its neighbors are explored
-to obtain T(u), which costs ``ceil(d(u)/explore_batch)`` extra
+to obtain T(u), which costs ``ceil(d(u)/EXPLORE_BATCH)`` extra
 profile-batch calls, charged once per distinct node per run (profiles
 are cached). This accounting is what makes the paper's crossover
 happen: on gender-labeled graphs every node triggers exploration, so a
@@ -29,22 +29,19 @@ import numpy as np
 from repro.core import estimators, walks
 from repro.graphs.csr import CSR
 
-DEFAULT_EXPLORE_BATCH = 10
+EXPLORE_BATCH = 10
 
 
-def explore_cost(degrees: np.ndarray, explore_batch: int = DEFAULT_EXPLORE_BATCH
-                 ) -> np.ndarray:
+def explore_cost(degrees: np.ndarray) -> np.ndarray:
     """Profile-batch API calls needed to label all neighbors of a node."""
-    return np.ceil(degrees / explore_batch).astype(np.int64)
+    return np.ceil(degrees / EXPLORE_BATCH).astype(np.int64)
 
 
 def sample_nodes_batch(csr: CSR, k: int, burnin: int, n_sims: int,
                        rng: np.random.Generator) -> np.ndarray:
     """(n_sims, k) node ids — plain k-step NE runs (no budget), used by
     tests and by callers that meter steps rather than API calls."""
-    pos = walks.uniform_starts(csr, n_sims, rng)
-    pos = walks.srw_walk(csr, pos, burnin, rng)
-    nodes, _ = walks.srw_trajectory(csr, pos, k, rng)
+    nodes, _ = walks.srw_runs(csr, k, burnin, n_sims, rng)
     return nodes
 
 
@@ -57,15 +54,9 @@ def budget_cutoffs(nodes: np.ndarray, has_target: np.ndarray,
     largest n with cumulative cost ≤ budget (at least 1 — the walk
     always takes its first step, as a real crawler would).
     """
-    b, length = nodes.shape
-    out = np.empty(b, dtype=np.int64)
-    for i in range(b):
-        row = nodes[i]
-        first = np.zeros(length, dtype=bool)
-        first[np.unique(row, return_index=True)[1]] = True
-        cost = 1 + np.where(has_target[row] & first, cost_per_node[row], 0)
-        out[i] = max(1, int(np.searchsorted(np.cumsum(cost), budget, side="right")))
-    return out
+    first = estimators.first_visits(nodes)
+    cost = 1 + np.where(has_target[nodes] & first, cost_per_node[nodes], 0)
+    return np.maximum(1, (np.cumsum(cost, axis=1) <= budget).sum(axis=1))
 
 
 def sample_nodes_budgeted(csr: CSR, budget: int, burnin: int, n_sims: int,
@@ -97,20 +88,15 @@ def hh_estimate(nodes: np.ndarray, t_counts: np.ndarray, degrees: np.ndarray,
 
 
 def ht_estimate(nodes: np.ndarray, t_counts: np.ndarray, degrees: np.ndarray,
-                n_edges: int, n_steps: np.ndarray | None = None,
-                thin: int = 1) -> np.ndarray:
+                n_edges: int, n_steps: np.ndarray | None = None) -> np.ndarray:
     """NE-HT per run (Eq. 13); k in the inclusion probability is the
-    run's own in-budget step count."""
-    b, length = nodes.shape
-    steps = np.full(b, length, dtype=np.int64) if n_steps is None else n_steps
-    out = np.empty(b, dtype=np.float64)
-    for i in range(b):
-        ids = nodes[i, : steps[i]: thin]
-        uniq = np.unique(ids)
-        pi = degrees[uniq] / (2.0 * n_edges)
-        incl = estimators.ht_inclusion_prob(pi, ids.size)
-        out[i] = 0.5 * float((t_counts[uniq] / incl).sum())
-    return out
+    run's own in-budget step count. A node's first visit inside the
+    budget prefix is its first visit in the whole row, so zeroing T past
+    the prefix leaves exactly the prefix's distinct nodes."""
+    m = _mask(nodes, n_steps)
+    pi = degrees[nodes] / (2.0 * n_edges)
+    incl = estimators.ht_inclusion_prob(pi, m.sum(axis=1, keepdims=True))
+    return 0.5 * estimators.horvitz_thompson(t_counts[nodes] * m, incl, nodes)
 
 
 def rw_estimate(nodes: np.ndarray, t_counts: np.ndarray, degrees: np.ndarray,

@@ -24,9 +24,7 @@ from repro.graphs.csr import CSR
 def sample_edges_batch(csr: CSR, k: int, burnin: int, n_sims: int,
                        rng: np.random.Generator) -> np.ndarray:
     """(n_sims, k) undirected edge ids — one NeighborSample run per row."""
-    pos = walks.uniform_starts(csr, n_sims, rng)
-    pos = walks.srw_walk(csr, pos, burnin, rng)
-    _, arcs = walks.srw_trajectory(csr, pos, k, rng)
+    _, arcs = walks.srw_runs(csr, k, burnin, n_sims, rng)
     return csr.edge_ids[arcs]
 
 

@@ -33,14 +33,6 @@ def srw_step(csr: CSR, pos: np.ndarray, rng: np.random.Generator
     return csr.indices[arcs], arcs
 
 
-def srw_walk(csr: CSR, pos: np.ndarray, steps: int, rng: np.random.Generator
-             ) -> np.ndarray:
-    """Advance walkers ``steps`` SRW steps; returns final positions."""
-    for _ in range(steps):
-        pos, _ = srw_step(csr, pos, rng)
-    return pos
-
-
 def srw_trajectory(csr: CSR, pos: np.ndarray, steps: int,
                    rng: np.random.Generator
                    ) -> tuple[np.ndarray, np.ndarray]:
@@ -57,3 +49,13 @@ def srw_trajectory(csr: CSR, pos: np.ndarray, steps: int,
         nodes[:, t] = pos
         arcs[:, t] = a
     return nodes, arcs
+
+
+def srw_runs(csr: CSR, k: int, burnin: int, n_sims: int,
+             rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """One NS/NE run per walker: uniform start, ``burnin`` unrecorded
+    steps, then the recorded k-step (nodes, arcs) trajectory."""
+    pos = uniform_starts(csr, n_sims, rng)
+    for _ in range(burnin):
+        pos, _ = srw_step(csr, pos, rng)
+    return srw_trajectory(csr, pos, k, rng)

@@ -1,19 +1,19 @@
 """CSR adjacency with the arc-level indexes the walk kernels need.
 
-An undirected edge {u, v} is stored as two *arcs* u→v and v→u. For each
-arc ``a`` we keep:
+An undirected edge {u, v} is stored as two *arcs* u→v and v→u. Besides
+``indptr`` (node u's arcs are ``indptr[u]:indptr[u+1]``) we keep, for
+each arc ``a``:
 
 - ``indices[a]``   the head node,
-- ``tails[a]``     the tail node (redundant with indptr but O(1)),
 - ``edge_ids[a]``  the undirected edge id (row index into the (E,2)
   edge array) — both arcs of an edge share it,
-- ``rev[a]``       the index of the opposite arc,
-- ``pos[a]``       the arc's position inside its tail's adjacency block
-  (``indptr[tail] + pos[a] == a``).
+- ``rev[a]``       the index of the opposite arc.
 
-``rev``/``pos`` exist for the implicit line-graph walk: sampling a
-uniform neighbor of edge (u,v) in G' needs "a uniform incident edge of
-u *excluding* (u,v)", done by rotating ``pos`` by 1+r mod d(u).
+Everything else is derived where it is read: the tail of ``a`` is
+``indices[rev[a]]`` and its position inside the tail's adjacency block
+is ``a - indptr[tail]``. ``rev`` exists for the implicit line-graph
+walk, which needs both endpoints of the current edge and "a uniform
+incident edge of u *excluding* (u,v)" (``repro.baselines.linegraph``).
 """
 from __future__ import annotations
 
@@ -27,15 +27,12 @@ class CSR:
     n: int
     indptr: np.ndarray    # (n+1,) int64
     indices: np.ndarray   # (2E,) int64 — head of each arc
-    tails: np.ndarray     # (2E,) int64 — tail of each arc
     edge_ids: np.ndarray  # (2E,) int64
     rev: np.ndarray       # (2E,) int64
-    pos: np.ndarray       # (2E,) int64
-    edges: np.ndarray     # (E, 2) int64, u < v
 
     @property
     def n_edges(self) -> int:
-        return int(self.edges.shape[0])
+        return int(self.indices.size // 2)
 
     @property
     def n_arcs(self) -> int:
@@ -44,6 +41,12 @@ class CSR:
     @property
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
+
+    @property
+    def tails(self) -> np.ndarray:
+        """(2E,) tail node of every arc. Built on each access in O(|E|),
+        so read it once per function, never inside a step kernel."""
+        return np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
 
     def neighbors(self, u: int) -> np.ndarray:
         return self.indices[self.indptr[u]: self.indptr[u + 1]]
@@ -72,17 +75,13 @@ def build_csr(edges: np.ndarray, n: int) -> CSR:
     counts = np.bincount(tails, minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    pos = np.arange(2 * e, dtype=np.int64) - indptr[tails]
     # Opposite arc: the two arcs of edge id k are the two entries with
     # edge_ids == k; a stable argsort by edge id puts them adjacent.
     by_eid = np.argsort(edge_ids, kind="stable")
     rev = np.empty(2 * e, dtype=np.int64)
     rev[by_eid[0::2]] = by_eid[1::2]
     rev[by_eid[1::2]] = by_eid[0::2]
-    return CSR(
-        n=n, indptr=indptr, indices=indices, tails=tails,
-        edge_ids=edge_ids, rev=rev, pos=pos, edges=edges,
-    )
+    return CSR(n=n, indptr=indptr, indices=indices, edge_ids=edge_ids, rev=rev)
 
 
 def edge_indicator(edges: np.ndarray, labels: np.ndarray, t1: int, t2: int) -> np.ndarray:

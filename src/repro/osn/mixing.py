@@ -34,8 +34,8 @@ def _tv(a: np.ndarray, b: np.ndarray) -> float:
 def transition_matrix(csr: CSR) -> np.ndarray:
     """Dense row-stochastic SRW transition matrix (tiny graphs only)."""
     p = np.zeros((csr.n, csr.n))
-    d = csr.degrees
-    p[csr.tails, csr.indices] = 1.0 / d[csr.tails]
+    tails = csr.tails
+    p[tails, csr.indices] = 1.0 / csr.degrees[tails]
     return p
 
 
@@ -59,13 +59,14 @@ def mixing_time_estimate(csr: CSR, eps: float = 1e-3, n_starts: int = 8,
     pi = stationary_distribution(csr)
     inv_d = 1.0 / csr.degrees.astype(np.float64)
     starts = rng.choice(csr.n, size=min(n_starts, csr.n), replace=False)
+    tails = csr.tails
     worst = 0
     for s in starts:
         v = np.zeros(csr.n)
         v[s] = 1.0
         for t in range(1, t_max + 1):
             # v_new[h] = sum over arcs t->h of v[t]/d[t]
-            contrib = v[csr.tails] * inv_d[csr.tails]
+            contrib = v[tails] * inv_d[tails]
             v = np.bincount(csr.indices, weights=contrib, minlength=csr.n)
             if _tv(v, pi) < eps:
                 worst = max(worst, t)

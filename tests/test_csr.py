@@ -1,28 +1,36 @@
 """Unit tests for the CSR adjacency + arc indexes."""
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphs.csr import build_csr, edge_indicator, t_counts
+from repro.graphs.csr import CSR, build_csr, edge_indicator, t_counts
 from repro.graphs.generator import social_graph
 from tests import _helpers as H
 
 
-def _check_invariants(csr):
+def _check_invariants(csr, g):
     n_arcs = csr.n_arcs
+    arcs = np.arange(n_arcs)
     assert n_arcs == 2 * csr.n_edges
-    # indptr/pos consistency: every arc sits at indptr[tail] + pos.
-    assert (csr.indptr[csr.tails] + csr.pos == np.arange(n_arcs)).all()
-    # rev maps u->v to v->u of the same undirected edge.
-    assert (csr.tails[csr.rev] == csr.indices).all()
-    assert (csr.indices[csr.rev] == csr.tails).all()
+    assert csr.n_edges == len(g.edges)
+    # rev is an involution that swaps the endpoints of one undirected edge.
+    tails = csr.indices[csr.rev]
+    assert (csr.rev[csr.rev] == arcs).all()
+    assert (csr.rev != arcs).all()
+    assert (csr.tails == tails).all()
+    # every arc lies inside its tail's adjacency block
+    assert (csr.indptr[tails] <= arcs).all()
+    assert (arcs < csr.indptr[tails + 1]).all()
+    # edge ids come in pairs, one per direction, naming the arc's edge
     assert (csr.edge_ids[csr.rev] == csr.edge_ids).all()
-    assert (csr.rev[csr.rev] == np.arange(n_arcs)).all()
-    # each edge id appears on exactly two arcs
     assert (np.bincount(csr.edge_ids, minlength=csr.n_edges) == 2).all()
+    ends = np.sort(np.stack([tails, csr.indices], axis=1), axis=1)
+    assert (ends == np.sort(g.edges, axis=1)[csr.edge_ids]).all()
     # degrees match endpoint counts
-    d = np.bincount(csr.edges.ravel(), minlength=csr.n)
+    d = np.bincount(np.asarray(g.edges).ravel(), minlength=csr.n)
     assert (csr.degrees == d).all()
 
 
@@ -31,7 +39,11 @@ class TestBuildCSR:
                                    H.small_random(40, 4, 1)],
                              ids=["triangle", "path4", "star", "random"])
     def test_invariants(self, g):
-        _check_invariants(H.csr_of(g))
+        _check_invariants(H.csr_of(g), g)
+
+    def test_stores_five_fields(self):
+        names = [f.name for f in dataclasses.fields(CSR)]
+        assert names == ["n", "indptr", "indices", "edge_ids", "rev"]
 
     def test_neighbors_triangle(self):
         csr = H.csr_of(H.triangle())
@@ -61,11 +73,11 @@ class TestBuildCSR:
     @given(n=st.integers(5, 40), seed=st.integers(0, 1000))
     def test_property_invariants(self, n, seed):
         g = H.small_random(n, 4, seed)
-        _check_invariants(H.csr_of(g))
+        _check_invariants(H.csr_of(g), g)
 
     def test_on_generated_graph(self):
         g = social_graph(300, 5, seed=3)
-        _check_invariants(H.csr_of(g))
+        _check_invariants(H.csr_of(g), g)
 
 
 class TestEdgeIndicator:

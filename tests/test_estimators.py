@@ -36,6 +36,35 @@ class TestHansenHurwitz:
         assert E.hansen_hurwitz(vals, probs).shape == (b,)
 
 
+class TestFirstVisits:
+    def test_all_distinct(self):
+        assert E.first_visits(np.array([[4, 2, 9, 0]])).tolist() == [[True] * 4]
+
+    def test_all_equal(self):
+        out = E.first_visits(np.array([[3, 3, 3]]))
+        assert out.tolist() == [[True, False, False]]
+
+    def test_single_step(self):
+        assert E.first_visits(np.array([[7], [7]])).tolist() == [[True], [True]]
+
+    def test_repeats_rows_independent(self):
+        ids = np.array([[5, 1, 5, 2, 1, 5],
+                        [1, 1, 2, 2, 3, 1]])
+        assert E.first_visits(ids).tolist() == [
+            [True, True, False, True, False, False],
+            [True, False, True, False, True, False],
+        ]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 30), st.integers(0, 10_000))
+    def test_matches_per_row_unique(self, b, k, seed):
+        ids = np.random.default_rng(seed).integers(0, 6, size=(b, k))
+        expected = np.zeros((b, k), dtype=bool)
+        for i in range(b):
+            expected[i, np.unique(ids[i], return_index=True)[1]] = True
+        assert (E.first_visits(ids) == expected).all()
+
+
 class TestHorvitzThompson:
     def test_duplicates_counted_once(self):
         ids = np.array([[7, 7, 7, 3]])

@@ -32,7 +32,33 @@ class TestLineDegrees:
         assert (ld == 5).all()
 
 
+class _FixedDraw:
+    """Generator stub whose ``integers`` always returns ``r``."""
+
+    def __init__(self, r):
+        self.r = r
+
+    def integers(self, low, high):
+        assert (self.r < high).all()
+        return np.full(np.shape(high), self.r)
+
+
 class TestUniformNeighbor:
+    @pytest.mark.parametrize("g", [H.triangle(), H.path4(), H.star(5),
+                                   H.small_random(30, 5, 1)],
+                             ids=["triangle", "path4", "star", "random"])
+    def test_draw_maps_one_to_one_onto_line_neighbors(self, g):
+        """From every arc, draws r = 0..deg'-1 reach each G'-neighbor of
+        the arc's edge exactly once — so a uniform r is a uniform step."""
+        csr = H.csr_of(g)
+        ld = lg.line_degrees(csr)
+        for a in range(csr.n_arcs):
+            eid = int(csr.edge_ids[a])
+            reached = [int(csr.edge_ids[lg.lg_uniform_neighbor(
+                csr, np.array([a]), _FixedDraw(r))[0]]) for r in range(ld[eid])]
+            assert len(reached) == len(set(reached)), a
+            assert set(reached) == H.brute_force_line_neighbors(g, eid), a
+
     def test_neighbor_is_adjacent_edge(self, small):
         g, csr = small
         rng = np.random.default_rng(0)

@@ -21,7 +21,7 @@ def setup():
 class TestExploreCost:
     def test_ceil_batches(self):
         d = np.array([1, 10, 11, 20, 21])
-        assert ne.explore_cost(d, explore_batch=10).tolist() == [1, 1, 2, 2, 3]
+        assert ne.explore_cost(d).tolist() == [1, 1, 2, 2, 3]
 
     def test_monotone(self):
         d = np.arange(1, 200)
@@ -74,6 +74,30 @@ class TestBudgetCutoffs:
         _, n_all = ne.sample_nodes_budgeted(
             csr, 40, 30, 20, np.ones(g.n, bool), cost, np.random.default_rng(1))
         assert n_rare.mean() > n_all.mean()
+
+
+class TestMatchesPerRowLoop:
+    """The vectorized budget cut and NE-HT against a plain per-row loop."""
+
+    @pytest.mark.parametrize("budget", [1, 12, 60])
+    def test_cutoffs_and_ht(self, setup, budget):
+        g, csr, t, F, has, cost = setup
+        d, e = csr.degrees, csr.n_edges
+        nodes = ne.sample_nodes_batch(csr, 60, 20, 30, np.random.default_rng(5))
+        cut = ne.budget_cutoffs(nodes, has, cost, budget)
+        ht = ne.ht_estimate(nodes, t, d, e, cut)
+        for i, row in enumerate(nodes):
+            seen, spent, n = set(), 0, 0
+            for u in row:
+                spent += 1 + (cost[u] if has[u] and u not in seen else 0)
+                seen.add(u)
+                if spent > budget:
+                    break
+                n += 1
+            assert cut[i] == max(1, n)
+            uniq = np.unique(row[: cut[i]])
+            incl = 1 - (1 - d[uniq] / (2 * e)) ** cut[i]
+            assert ht[i] == pytest.approx(0.5 * (t[uniq] / incl).sum(), rel=1e-12)
 
 
 class TestEstimators:

@@ -38,9 +38,7 @@ class TestSRW:
         """Long-run visit frequency ~ d(u)/2|E|."""
         g, csr = small
         rng = np.random.default_rng(2)
-        pos = walks.uniform_starts(csr, 600, rng)
-        pos = walks.srw_walk(csr, pos, 120, rng)
-        nodes, _ = walks.srw_trajectory(csr, pos, 120, rng)
+        nodes, _ = walks.srw_runs(csr, 120, 120, 600, rng)
         freq = np.bincount(nodes.ravel(), minlength=g.n) / nodes.size
         pi = csr.degrees / csr.degrees.sum()
         assert np.abs(freq - pi).max() < 0.01
