@@ -6,10 +6,10 @@ over 200 independent simulations. This harness:
 
 1. builds the CSR/label/T(u)/line-degree arrays once on the driver and
    broadcasts them,
-2. fans out (sampler × sample-size × simulation-chunk) tasks with
-   ``mapInPandas`` — each task runs a lock-step NumPy batch of
-   independent walkers and emits one F-estimate row per (algorithm,
-   simulation),
+2. packs (sampler × sample-size × simulation-chunk) units, each seeded
+   by its own indices, into about one ``mapInPandas`` task per core —
+   each unit is a lock-step NumPy batch of independent walkers, and
+   each task emits one frame of (algorithm, simulation) F-estimates,
 3. aggregates NRMSE per (algorithm, sample size) with a Spark groupBy.
 
 Sampler granularity: NeighborSample yields both NS-HH and NS-HT from
@@ -19,6 +19,7 @@ paper's 10 table rows.
 """
 from __future__ import annotations
 
+import heapq
 from typing import Iterator
 
 import numpy as np
@@ -125,53 +126,52 @@ def simulate_all(spark: SparkSession, ctx: dict,
     """Fan the Monte Carlo out over Spark.
 
     Returns a DataFrame (algorithm, frac, k, sim, est) with one row per
-    (algorithm, simulation).
+    (algorithm, simulation). Raises ValueError, before any Spark job, on
+    ``n_sims < 1``, no ``sample_fracs`` or a sampler not in SAMPLERS.
     """
     samplers = samplers or SAMPLERS
-    n_nodes = ctx["n_nodes"]
-    tasks = []
+    if n_sims < 1:
+        raise ValueError(f"n_sims must be >= 1, got {n_sims}")
+    if not sample_fracs:
+        raise ValueError("sample_fracs is empty")
+    if unknown := sorted(set(samplers) - set(SAMPLERS)):
+        raise ValueError(f"unknown sampler(s) {unknown}; known: {SAMPLERS}")
+    # Each unit is seeded by its own indices, so packing changes no estimate.
+    units = []
     for s_idx, sampler in enumerate(samplers):
         for f_idx, frac in enumerate(sample_fracs):
-            k = max(1, int(round(frac * n_nodes)))
-            start = 0
-            c_idx = 0
-            while start < n_sims:
-                size = min(chunk, n_sims - start)
-                tasks.append(
-                    (sampler, float(frac), int(k), int(start), int(size),
-                     int(s_idx), int(f_idx), int(c_idx))
-                )
-                start += size
-                c_idx += 1
-    tasks_pdf = pd.DataFrame(
-        tasks,
-        columns=["sampler", "frac", "k", "sim0", "n", "s_idx", "f_idx", "c_idx"],
-    )
-    sc = spark.sparkContext
-    bc = sc.broadcast(ctx)
+            k = max(1, int(round(frac * ctx["n_nodes"])))
+            for c_idx, sim0 in enumerate(range(0, n_sims, chunk)):
+                units.append((sampler, float(frac), k, sim0,
+                              min(chunk, n_sims - sim0),
+                              [seed, s_idx, f_idx, c_idx]))
+    # Longest walker-steps first onto the least-loaded of ~one task per core.
+    n_tasks = min(spark.sparkContext.defaultParallelism, len(units))
+    packed = [[] for _ in range(n_tasks)]
+    loads = [(0, t) for t in range(n_tasks)]
+    for unit in sorted(units, key=lambda u: -(ctx["burnin"] + u[2]) * u[4]):
+        load, t = heapq.heappop(loads)
+        packed[t].append(unit)
+        heapq.heappush(loads, (load + (ctx["burnin"] + unit[2]) * unit[4], t))
+    bc = spark.sparkContext.broadcast(ctx)
 
-    def run_chunk(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+    def run_units(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         local_ctx = bc.value
         for pdf in batches:
-            for row in pdf.itertuples(index=False):
-                rng = np.random.default_rng(
-                    [seed, row.s_idx, row.f_idx, row.c_idx]
-                )
-                ests = run_sampler(local_ctx, row.sampler, row.k, row.n, rng)
-                for alg, vec in ests.items():
-                    yield pd.DataFrame(
-                        {
-                            "algorithm": alg,
-                            "frac": row.frac,
-                            "k": row.k,
-                            "sim": np.arange(row.sim0, row.sim0 + row.n),
-                            "est": vec.astype(np.float64),
-                        }
-                    )
+            for t in pdf["id"]:
+                frames = []
+                for sampler, frac, k, sim0, n, key in packed[t]:
+                    ests = run_sampler(local_ctx, sampler, k, n,
+                                       np.random.default_rng(key))
+                    frames += [pd.DataFrame({
+                        "algorithm": alg, "frac": frac, "k": k,
+                        "sim": np.arange(sim0, sim0 + n),
+                        "est": vec.astype(np.float64),
+                    }) for alg, vec in ests.items()]
+                yield pd.concat(frames, ignore_index=True)
 
-    tasks_df = spark.createDataFrame(tasks_pdf).repartition(len(tasks))
     schema = "algorithm string, frac double, k long, sim long, est double"
-    return tasks_df.mapInPandas(run_chunk, schema=schema)
+    return spark.range(0, n_tasks, 1, n_tasks).mapInPandas(run_units, schema=schema)
 
 
 def nrmse_table(spark: SparkSession, g: LabeledGraph, pair: tuple[int, int],

@@ -1,5 +1,6 @@
 """Tests for the Spark-parallel Monte-Carlo harness."""
 import numpy as np
+import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
@@ -107,9 +108,8 @@ class TestSimulateAll:
             assert r.n_sims == 8
 
     def test_chunking_invariant(self, spark, ctx):
-        """Chunk size must not change results (seeding is per chunk
-        index, so equality holds per chunk layout; check estimates are
-        statistically indistinguishable instead)."""
+        """One chunk layout run twice gives the same estimates. Seeding
+        is per chunk index, so different chunk sizes draw differently."""
         g, c = ctx
         a = ex.simulate_all(spark, c, (0.05,), n_sims=12, seed=2, chunk=12,
                             samplers=["NS"]).toPandas()
@@ -118,6 +118,50 @@ class TestSimulateAll:
         pa = a.sort_values(["algorithm", "sim"])["est"].to_numpy()
         pb = b.sort_values(["algorithm", "sim"])["est"].to_numpy()
         assert (pa == pb).all()
+
+    def test_matches_driver_loop(self, spark, ctx):
+        """Packing units into Spark tasks changes no estimate: rows equal
+        a driver-side run_sampler loop over the same seeded units (the
+        last chunk is partial, and there are more units than cores)."""
+        g, c = ctx
+        fracs, samplers, seed = (0.02, 0.05), ["NS", "NE", "EX-RW"], 4
+        got = ex.simulate_all(spark, c, fracs, n_sims=7, seed=seed, chunk=3,
+                              samplers=samplers).toPandas()
+        want = []
+        for s_idx, sampler in enumerate(samplers):
+            for f_idx, frac in enumerate(fracs):
+                k = max(1, int(round(frac * c["n_nodes"])))
+                for c_idx, (sim0, n) in enumerate([(0, 3), (3, 3), (6, 1)]):
+                    rng = np.random.default_rng([seed, s_idx, f_idx, c_idx])
+                    for alg, vec in ex.run_sampler(c, sampler, k, n, rng).items():
+                        want += [(alg, frac, k, sim0 + i, e)
+                                 for i, e in enumerate(vec)]
+        want = pd.DataFrame(want, columns=list(got.columns))
+        by = ["algorithm", "frac", "sim"]
+        got = got.sort_values(by).reset_index(drop=True)
+        want = want.sort_values(by).reset_index(drop=True)
+        pd.testing.assert_frame_equal(got, want, check_exact=True)
+
+    @pytest.mark.parametrize("grid", [
+        dict(sample_fracs=ex.DEFAULT_FRACS, n_sims=20, chunk=3),
+        dict(sample_fracs=(0.05,), n_sims=2, chunk=3, samplers=["NS"]),
+    ], ids=["large_grid", "single_unit"])
+    def test_at_most_one_task_per_core(self, spark, ctx, grid):
+        g, c = ctx
+        est = ex.simulate_all(spark, c, seed=0, **grid)
+        n_parts = est.rdd.getNumPartitions()
+        assert 1 <= n_parts <= spark.sparkContext.defaultParallelism
+
+    @pytest.mark.parametrize("bad, match", [
+        (dict(n_sims=0), "n_sims"),
+        (dict(sample_fracs=()), "sample_fracs"),
+        (dict(samplers=["NS", "EX-XX"]), "EX-XX"),
+    ], ids=["no_sims", "no_fracs", "unknown_sampler"])
+    def test_rejects_bad_input_on_driver(self, spark, ctx, bad, match):
+        g, c = ctx
+        # Raised by the call itself, before any Spark action.
+        with pytest.raises(ValueError, match=match):
+            ex.simulate_all(spark, c, **{"n_sims": 4, **bad})
 
 
 class TestNRMSETable:
