@@ -1,10 +1,12 @@
-"""Largest connected component via iterative DataFrame label propagation.
+"""Largest connected component via iterative DataFrame min-label propagation.
 
 The paper evaluates every network on its largest connected component.
 Our BA generator yields connected graphs by construction, but the LCC
 pass is part of the paper's pipeline (and guards against any future
 generator), so it is implemented — as a Catalyst dataflow — and tested
-on deliberately disconnected graphs.
+on deliberately disconnected graphs. Min-label propagation takes
+O(diameter) rounds; the five datasets converge in 4–7, so the
+O(log n)-round large-star/small-star scheme is not worth its code.
 """
 from __future__ import annotations
 
@@ -16,48 +18,36 @@ from pyspark.sql import functions as F
 def connected_components(spark: SparkSession, edges: DataFrame, max_iter: int = 50) -> DataFrame:
     """(node, component) where component is the min node id reachable.
 
-    ``edges`` has columns (src, dst). Iterates min-propagation over the
-    symmetric edge relation until a fixpoint; localCheckpoint every
+    ``edges`` has columns (src, dst). Each round is one join and one
+    ``groupBy(node).min`` over the neighbours' labels unioned with the
+    node's own. Labels never increase, so the labelling is a fixpoint
+    exactly when ``sum(component)`` stops falling. localCheckpoint every
     round keeps the plan linear in size.
+    Raises ``RuntimeError`` if no fixpoint is reached in ``max_iter``
+    rounds (a path longer than ``max_iter`` nodes).
     """
-    sym = edges.select("src", "dst").union(
-        edges.select(F.col("dst").alias("src"), F.col("src").alias("dst"))
-    )
-    sym = sym.localCheckpoint()
+    sym = edges.select(F.col("src").alias("node"), "dst").union(
+        edges.select(F.col("dst").alias("node"), F.col("src").alias("dst"))
+    ).localCheckpoint()
     comp = (
-        sym.select(F.col("src").alias("node"))
-        .distinct()
+        sym.select("node").distinct()
         .withColumn("component", F.col("node"))
         .localCheckpoint()
     )
+    total = comp.agg(F.sum("component")).collect()[0][0]
     for _ in range(max_iter):
-        # Candidate: min of own component and neighbors' components.
-        nbr_min = (
-            sym.join(comp, sym.dst == comp.node)
-            .groupBy(sym.src.alias("node"))
-            .agg(F.min("component").alias("nbr_component"))
-        )
-        new_comp = (
-            comp.join(nbr_min, "node", "left")
-            .select(
-                "node",
-                F.least(
-                    "component", F.coalesce("nbr_component", "component")
-                ).alias("component"),
-            )
+        nbr = sym.join(
+            comp.select(F.col("node").alias("dst"), "component"), "dst"
+        ).select("node", "component")
+        comp = (
+            nbr.union(comp).groupBy("node")
+            .agg(F.min("component").alias("component"))
             .localCheckpoint()
         )
-        changed = (
-            new_comp.alias("a")
-            .join(comp.alias("b"), "node")
-            .where(F.col("a.component") != F.col("b.component"))
-            .limit(1)
-            .count()
-        )
-        comp = new_comp
-        if changed == 0:
-            break
-    return comp
+        prev, total = total, comp.agg(F.sum("component")).collect()[0][0]
+        if total == prev:
+            return comp
+    raise RuntimeError(f"labels not converged within max_iter={max_iter} rounds")
 
 
 def largest_component_nodes(spark: SparkSession, edges: DataFrame) -> DataFrame:

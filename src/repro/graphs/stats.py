@@ -1,8 +1,8 @@
 """Ground-truth graph statistics as Catalyst dataflows.
 
-Everything the estimators are measured against — the exact target-edge
-count F, the per-node incident-target count T(u), degrees, and the
-label-pair frequency table — is computed here with Spark SQL over the
+Everything the estimators and bounds are measured against — the exact
+target-edge count F and the per-node table of degree d(u) and
+incident-target count T(u) — is computed here with Spark SQL over the
 (edges, labels) DataFrames, and each query is oracle-checked against
 DuckDB in the tests.
 """
@@ -64,38 +64,17 @@ def exact_target_count(edges: DataFrame, labels: DataFrame, t1: int, t2: int) ->
     return int(ind.agg(F.sum("is_target").alias("f")).collect()[0]["f"])
 
 
-def degrees_df(edges: DataFrame) -> DataFrame:
-    """(node, degree) over nodes incident to at least one edge."""
-    ends = edges.select(F.col("src").alias("node")).union(
-        edges.select(F.col("dst").alias("node"))
-    )
-    return ends.groupBy("node").agg(F.count("*").alias("degree"))
+def node_table(edges: DataFrame, labels: DataFrame, t1: int, t2: int) -> DataFrame:
+    """(node, degree, t_count) for every node with at least one edge:
+    d(u) and the paper's T(u), zero for nodes with no target edge.
 
-
-def t_counts_df(edges: DataFrame, labels: DataFrame, t1: int, t2: int) -> DataFrame:
-    """(node, t_count): number of target edges incident to each node —
-    the paper's T(u), for nodes with T(u) > 0."""
-    ind = target_edge_indicator(edges, labels, t1, t2).where(
-        F.col("is_target") == 1
-    )
-    ends = ind.select(F.col("src").alias("node")).union(
-        ind.select(F.col("dst").alias("node"))
-    )
-    return ends.groupBy("node").agg(F.count("*").alias("t_count"))
-
-
-def pair_counts(edges: DataFrame, labels: DataFrame) -> DataFrame:
-    """(l1, l2, n_edges) for every unordered endpoint-label pair, l1<=l2.
-
-    Used to pick target pairs whose relative frequency matches the
-    paper's (Pokec/Orkut/LiveJournal quartile procedure).
+    One pass over the target-edge indicator: each edge emits
+    (endpoint, is_target) for both ends, and one groupBy counts and sums.
     """
-    le = labeled_edges(edges, labels)
-    return (
-        le.select(
-            F.least("src_label", "dst_label").alias("l1"),
-            F.greatest("src_label", "dst_label").alias("l2"),
-        )
-        .groupBy("l1", "l2")
-        .agg(F.count("*").alias("n_edges"))
+    ind = target_edge_indicator(edges, labels, t1, t2)
+    ends = ind.select(F.col("src").alias("node"), "is_target").union(
+        ind.select(F.col("dst").alias("node"), "is_target")
+    )
+    return ends.groupBy("node").agg(
+        F.count("*").alias("degree"), F.sum("is_target").alias("t_count")
     )

@@ -112,8 +112,7 @@ def load_csr(name: str) -> CSR:
 
 def pair_counts_np(g: LabeledGraph) -> tuple[np.ndarray, np.ndarray]:
     """Exact (pairs (P,2), counts (P,)) over unordered endpoint-label
-    pairs — NumPy mirror of ``repro.graphs.stats.pair_counts`` (the two
-    are cross-checked in tests)."""
+    pairs (checked against a SQL GROUP BY in tests)."""
     lu = g.labels[g.edges[:, 0]]
     lv = g.labels[g.edges[:, 1]]
     l1 = np.minimum(lu, lv)

@@ -51,10 +51,11 @@ def _numpy_bounds(g, t1, t2, eps=0.1, delta=0.1):
 
 
 class TestBounds:
-    def test_matches_closed_form(self, spark, setup):
+    @pytest.mark.parametrize("t1,t2", [(1, 2), (2, 2)])
+    def test_matches_closed_form(self, spark, setup, t1, t2):
         g, e, l = setup
-        got = bounds.all_bounds(e, l, 1, 2)
-        exp = _numpy_bounds(g, 1, 2)
+        got = bounds.all_bounds(e, l, t1, t2)
+        exp = _numpy_bounds(g, t1, t2)
         for key, val in exp.items():
             assert got[key] == pytest.approx(val, rel=1e-6), key
 

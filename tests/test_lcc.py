@@ -28,6 +28,12 @@ class TestConnectedComponents:
         comp = lcc.connected_components(spark, _edges_df(spark, edges)).toPandas()
         assert (comp["component"] == 0).all()
 
+    def test_raises_when_not_converged(self, spark):
+        """The 11-node chain needs 10 rounds to carry label 0 to its end."""
+        edges = _edges_df(spark, np.array([[i, i + 1] for i in range(10)]))
+        with pytest.raises(RuntimeError, match="max_iter=3"):
+            lcc.connected_components(spark, edges, max_iter=3)
+
     def test_three_components_sizes(self, spark):
         edges = np.array([[0, 1], [2, 3], [2, 4], [5, 6], [6, 7], [5, 7]])
         nodes = lcc.largest_component_nodes(spark, _edges_df(spark, edges)).toPandas()

@@ -76,63 +76,54 @@ class TestTargetCount:
         )
 
 
-class TestDegrees:
-    def test_matches_numpy(self, spark, g, dfs):
-        e, _ = dfs
-        pdf = stats.degrees_df(e).toPandas().set_index("node")["degree"]
-        for u in range(g.n):
-            assert pdf.get(u, 0) == g.degrees[u]
-
-    def test_oracle(self, spark, g, dfs):
-        e, _ = dfs
-        assert_equivalent(
-            stats.degrees_df(e),
-            """
-            SELECT node, COUNT(*) AS degree FROM (
-                SELECT src AS node FROM edges
-                UNION ALL
-                SELECT dst AS node FROM edges
-            ) GROUP BY node
-            """,
-            edges=e,
-        )
-
-
-class TestTCounts:
-    def test_matches_brute_force(self, spark, g, dfs):
+class TestNodeTable:
+    @pytest.mark.parametrize("t1,t2", [(1, 2), (2, 2)])
+    def test_matches_brute_force(self, spark, g, dfs, t1, t2):
+        """Every node has a row, nodes with T(u) = 0 included."""
         e, l = dfs
-        pdf = stats.t_counts_df(e, l, 1, 2).toPandas().set_index("node")["t_count"]
-        truth = H.brute_force_t(g, 1, 2)
-        for u in range(g.n):
-            assert pdf.get(u, 0) == truth[u]
+        pdf = stats.node_table(e, l, t1, t2).toPandas().set_index("node").sort_index()
+        assert pdf.index.tolist() == list(range(g.n))
+        assert (pdf["degree"].to_numpy() == g.degrees).all()
+        truth = H.brute_force_t(g, t1, t2)
+        assert (pdf["t_count"].to_numpy() == truth).all()
+        assert (truth == 0).any()
 
-    def test_oracle(self, spark, g, dfs):
+    @pytest.mark.parametrize("t1,t2", [(1, 2), (2, 2)])
+    def test_oracle(self, spark, g, dfs, t1, t2):
         e, l = dfs
         assert_equivalent(
-            stats.t_counts_df(e, l, 1, 2),
-            """
-            WITH tgt AS (
-                SELECT e.src, e.dst FROM edges e
+            stats.node_table(e, l, t1, t2),
+            f"""
+            WITH ind AS (
+                SELECT e.src, e.dst,
+                       CASE WHEN (l1.label = {t1} AND l2.label = {t2})
+                              OR (l1.label = {t2} AND l2.label = {t1})
+                            THEN 1 ELSE 0 END AS is_target
+                FROM edges e
                 JOIN labels l1 ON e.src = l1.node
                 JOIN labels l2 ON e.dst = l2.node
-                WHERE (l1.label = 1 AND l2.label = 2)
-                   OR (l1.label = 2 AND l2.label = 1)
             )
-            SELECT node, COUNT(*) AS t_count FROM (
-                SELECT src AS node FROM tgt
+            SELECT node, COUNT(*) AS degree, SUM(is_target) AS t_count FROM (
+                SELECT src AS node, is_target FROM ind
                 UNION ALL
-                SELECT dst AS node FROM tgt
+                SELECT dst AS node, is_target FROM ind
             ) GROUP BY node
             """,
             edges=e, labels=l,
         )
 
 
-class TestPairCounts:
-    def test_oracle(self, spark, g, dfs):
+class TestPairCountsNp:
+    def test_matches_duckdb(self, spark, g, dfs):
+        """The NumPy pair counter that picks target pairs agrees with a
+        SQL GROUP BY over the same edges and labels."""
         e, l = dfs
+        pairs, counts = pair_counts_np(g)
+        got = spark.createDataFrame(pd.DataFrame(
+            {"l1": pairs[:, 0], "l2": pairs[:, 1], "n_edges": counts}
+        ))
         assert_equivalent(
-            stats.pair_counts(e, l),
+            got,
             """
             SELECT LEAST(l1.label, l2.label) AS l1,
                    GREATEST(l1.label, l2.label) AS l2,
@@ -144,22 +135,3 @@ class TestPairCounts:
             """,
             edges=e, labels=l,
         )
-
-    def test_matches_numpy_mirror(self, spark, g, dfs):
-        """The NumPy pair counter used for target-pair selection must
-        agree with the Catalyst aggregation."""
-        e, l = dfs
-        pdf = stats.pair_counts(e, l).toPandas()
-        spark_counts = {
-            (int(r.l1), int(r.l2)): int(r.n_edges) for r in pdf.itertuples()
-        }
-        pairs, counts = pair_counts_np(g)
-        np_counts = {
-            (int(a), int(b)): int(c) for (a, b), c in zip(pairs, counts)
-        }
-        assert spark_counts == np_counts
-
-    def test_total_is_edge_count(self, spark, g, dfs):
-        e, l = dfs
-        total = stats.pair_counts(e, l).agg(F.sum("n_edges")).collect()[0][0]
-        assert total == g.n_edges
