@@ -27,8 +27,7 @@ def reproduce_and_print(spark, table_no: int) -> pd.DataFrame:
 
 
 def best_ours(t: pd.DataFrame, frac: float = 0.05) -> float:
-    ours = [a for a in t.index if not a.startswith("EX-")]
-    return float(t.loc[ours, frac].min())
+    return T.best_at_frac(t, frac)[1]
 
 
 def best_baseline(t: pd.DataFrame, frac: float = 0.05) -> float:

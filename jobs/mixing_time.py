@@ -15,12 +15,8 @@ import argparse
 import pandas as pd
 
 from repro.harness import datasets as ds
+from repro.harness.paper_numbers import MIXING_TIMES
 from repro.osn.mixing import mixing_time_estimate
-
-PAPER = {
-    "facebook": 3200, "googleplus": 200, "pokec": 100, "orkut": 800,
-    "livejournal": 900,
-}
 
 
 def mixing_table(names: list[str], eps: float, n_starts: int = 6) -> pd.DataFrame:
@@ -31,7 +27,7 @@ def mixing_table(names: list[str], eps: float, n_starts: int = 6) -> pd.DataFram
         rows.append(
             {
                 "network": name, "mixing_time_est": t,
-                "paper_mixing_time": PAPER[name],
+                "paper_mixing_time": MIXING_TIMES[name],
                 "harness_burnin": ds.SPECS[name].burnin,
             }
         )
@@ -41,10 +37,10 @@ def mixing_table(names: list[str], eps: float, n_starts: int = 6) -> pd.DataFram
 def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("dataset", nargs="?", default="all",
-                    choices=[*PAPER, "all"])
+                    choices=[*MIXING_TIMES, "all"])
     ap.add_argument("--eps", type=float, default=1e-3)
     args = ap.parse_args()
-    names = list(PAPER) if args.dataset == "all" else [args.dataset]
+    names = list(MIXING_TIMES) if args.dataset == "all" else [args.dataset]
     print(f"Mixing times T(eps={args.eps}) (sampled-start estimate)")
     print(mixing_table(names, args.eps).to_string(index=False))
 

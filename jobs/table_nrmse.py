@@ -18,12 +18,10 @@ from pyspark.sql import SparkSession
 from repro.harness import tables as T
 from repro.harness.session import get_spark
 
+# dataset -> its paper table numbers, in paper order.
 DATASET_TABLES = {
-    "facebook": [4],
-    "googleplus": [5],
-    "pokec": [6, 7, 8, 9],
-    "orkut": [10, 11, 12, 13],
-    "livejournal": [14, 15, 16, 17],
+    name: [no for no, (d, _) in T.NRMSE_TABLES.items() if d == name]
+    for name, _ in T.NRMSE_TABLES.values()
 }
 
 

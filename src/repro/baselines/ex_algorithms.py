@@ -6,7 +6,9 @@ of target nodes of G' — i.e. target edges of G — with the re-weighted
 ratio |E| Σ I(e_i) w(e_i) / Σ w(e_i), where w ∝ 1/pi' undoes the
 chain's stationary distribution pi': uniform for EX-MHRW and EX-MDRW,
 ∝ deg' for EX-RW, ∝ deg'^(1-alpha) for EX-RCMH and ∝ max(deg', cap)
-for EX-GMD. ``CHAINS`` holds each sampler's (step, weight) pair.
+for EX-GMD. All five are one lazy Metropolis–Hastings chain with two
+parameters (beta, C) — see ``linegraph.lg_step`` — so ``CHAINS`` holds
+one (beta, C / max deg') row per sampler.
 
 The exact RCMH/GMD pseudocode of ICDE'15 is not available offline; the
 constructions above recover the named special cases (alpha→{0,1} ⇒
@@ -24,28 +26,13 @@ from repro.graphs.csr import CSR
 ALPHA = 0.3
 DELTA = 0.5
 
-# name -> (step(csr, arcs, rng, line_deg, m), weight(deg', m)), m = max deg'.
+# name -> (beta, C / max deg'): the parameters of ``linegraph.lg_step``.
 CHAINS = {
-    "EX-RW": (
-        lambda csr, a, rng, ld, m: lg.lg_srw_step(csr, a, rng),
-        lambda d, m: 1.0 / np.maximum(d, 1.0),
-    ),
-    "EX-MHRW": (
-        lambda csr, a, rng, ld, m: lg.lg_mh_step(csr, a, rng, ld, beta=0.0),
-        lambda d, m: np.ones_like(d),
-    ),
-    "EX-RCMH": (
-        lambda csr, a, rng, ld, m: lg.lg_mh_step(csr, a, rng, ld, beta=1.0 - ALPHA),
-        lambda d, m: np.maximum(d, 1.0) ** (ALPHA - 1.0),
-    ),
-    "EX-MDRW": (
-        lambda csr, a, rng, ld, m: lg.lg_capped_step(csr, a, rng, ld, m),
-        lambda d, m: np.ones_like(d),
-    ),
-    "EX-GMD": (
-        lambda csr, a, rng, ld, m: lg.lg_capped_step(csr, a, rng, ld, DELTA * m),
-        lambda d, m: 1.0 / np.maximum(d, DELTA * m),
-    ),
+    "EX-RW": (1.0, 0.0),
+    "EX-MHRW": (0.0, 0.0),
+    "EX-RCMH": (1.0 - ALPHA, 0.0),
+    "EX-MDRW": (1.0, 1.0),
+    "EX-GMD": (1.0, DELTA),
 }
 
 
@@ -53,20 +40,26 @@ def walk(csr: CSR, line_deg: np.ndarray, name: str, k: int, burnin: int,
          n_sims: int, rng: np.random.Generator) -> np.ndarray:
     """Burn in, then walk k steps of ``name``'s chain; returns
     (n_sims, k) sampled undirected edge ids."""
-    step = CHAINS[name][0]
-    m = float(line_deg.max())
+    beta, c = CHAINS[name]
+    cap = c * float(line_deg.max())
     arcs = lg.uniform_start_arcs(csr, n_sims, rng)
     for _ in range(burnin):
-        arcs = step(csr, arcs, rng, line_deg, m)
+        arcs = lg.lg_step(csr, arcs, rng, line_deg, beta, cap)
     out = np.empty((n_sims, k), dtype=np.int64)
     for t in range(k):
-        arcs = step(csr, arcs, rng, line_deg, m)
+        arcs = lg.lg_step(csr, arcs, rng, line_deg, beta, cap)
         out[:, t] = csr.edge_ids[arcs]
     return out
 
 
 def estimate(name: str, edge_ids: np.ndarray, line_deg: np.ndarray,
              edge_ind: np.ndarray, n_edges: int) -> np.ndarray:
-    """Per-row estimate of F from ``name``'s sampled edge ids."""
-    w = CHAINS[name][1](line_deg[edge_ids].astype(np.float64), float(line_deg.max()))
+    """Per-row estimate of F from ``name``'s sampled edge ids, with
+    w = 1/max(deg', C) when C > 0 and max(deg', 1)^(-beta) otherwise."""
+    beta, c = CHAINS[name]
+    d = line_deg[edge_ids].astype(np.float64)
+    if c > 0:
+        w = 1.0 / np.maximum(d, c * float(line_deg.max()))
+    else:
+        w = np.maximum(d, 1.0) ** -beta
     return reweighted_ratio(edge_ind[edge_ids] * w, w, float(n_edges))

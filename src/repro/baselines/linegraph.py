@@ -59,37 +59,27 @@ def lg_uniform_neighbor(csr: CSR, arcs: np.ndarray, rng: np.random.Generator
     return np.where(degp == 0, arcs, na)
 
 
-def lg_srw_step(csr: CSR, arcs: np.ndarray, rng: np.random.Generator
-                ) -> np.ndarray:
-    """Simple random walk on G' (always move)."""
-    return lg_uniform_neighbor(csr, arcs, rng)
+def lg_step(csr: CSR, arcs: np.ndarray, rng: np.random.Generator,
+            line_deg: np.ndarray, beta: float, cap: float) -> np.ndarray:
+    """One step of the two-parameter EX chain on G'; returns new arcs.
 
-
-def lg_mh_step(csr: CSR, arcs: np.ndarray, rng: np.random.Generator,
-               line_deg: np.ndarray, beta: float) -> np.ndarray:
-    """MH step on G' with SRW proposal targeting pi'(e) ∝ deg'(e)^beta.
-
-    Acceptance from e to f: min(1, (deg'(f)/deg'(e))^(beta-1)).
-    beta=0 is EX-MHRW (uniform target); beta=1-alpha is EX-RCMH.
+    Move with probability deg'(e)/max(deg'(e), cap) to a uniform
+    G'-neighbor f, accepted iff log u < (beta-1)(log deg'(f) - log
+    deg'(e)); otherwise stay. Reversible with pi'(e) ∝ max(deg'(e),
+    cap) · deg'(e)^(beta-1). The move uniform is drawn only when
+    cap > 0 and the acceptance uniform only when beta != 1 (move, then
+    proposal, then acceptance), so a chain draws nothing it does not use.
     """
+    if cap > 0 or beta != 1:
+        de = line_deg[csr.edge_ids[arcs]].astype(np.float64)
+    move = None
+    if cap > 0:
+        move = rng.random(arcs.shape[0]) < de / np.maximum(de, cap)
     prop = lg_uniform_neighbor(csr, arcs, rng)
-    de = line_deg[csr.edge_ids[arcs]].astype(np.float64)
-    df = line_deg[csr.edge_ids[prop]].astype(np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_ratio = (beta - 1.0) * (np.log(df) - np.log(de))
-    accept = np.log(rng.random(arcs.shape[0])) < log_ratio
-    return np.where(accept, prop, arcs)
-
-
-def lg_capped_step(csr: CSR, arcs: np.ndarray, rng: np.random.Generator,
-                   line_deg: np.ndarray, cap: float) -> np.ndarray:
-    """Maximum-degree-style step on G' with virtual degree max(deg', cap):
-    move to a uniform neighbor with probability deg'/max(deg', cap),
-    else self-loop. Reversible with pi'(e) ∝ max(deg'(e), cap).
-    cap = max deg' gives EX-MDRW (uniform pi'); cap = delta * max deg'
-    gives EX-GMD.
-    """
-    de = line_deg[csr.edge_ids[arcs]].astype(np.float64)
-    move = rng.random(arcs.shape[0]) < de / np.maximum(de, cap)
-    prop = lg_uniform_neighbor(csr, arcs, rng)
-    return np.where(move, prop, arcs)
+    if beta != 1:
+        df = line_deg[csr.edge_ids[prop]].astype(np.float64)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_ratio = (beta - 1.0) * (np.log(df) - np.log(de))
+        accept = np.log(rng.random(arcs.shape[0])) < log_ratio
+        move = accept if move is None else move & accept
+    return prop if move is None else np.where(move, prop, arcs)

@@ -37,14 +37,6 @@ def explore_cost(degrees: np.ndarray) -> np.ndarray:
     return np.ceil(degrees / EXPLORE_BATCH).astype(np.int64)
 
 
-def sample_nodes_batch(csr: CSR, k: int, burnin: int, n_sims: int,
-                       rng: np.random.Generator) -> np.ndarray:
-    """(n_sims, k) node ids — plain k-step NE runs (no budget), used by
-    tests and by callers that meter steps rather than API calls."""
-    nodes, _ = walks.srw_runs(csr, k, burnin, n_sims, rng)
-    return nodes
-
-
 def budget_cutoffs(nodes: np.ndarray, has_target: np.ndarray,
                    cost_per_node: np.ndarray, budget: int) -> np.ndarray:
     """Per-run number of affordable steps.
@@ -66,7 +58,7 @@ def sample_nodes_budgeted(csr: CSR, budget: int, burnin: int, n_sims: int,
     """Budgeted NE runs: walk up to ``budget`` steps (cost ≥ 1 per step
     bounds the useful length), then cut each run where its API spend
     hits the budget. Returns (nodes (n_sims, budget), n_steps (n_sims,))."""
-    nodes = sample_nodes_batch(csr, budget, burnin, n_sims, rng)
+    nodes = walks.srw_runs(csr, budget, burnin, n_sims, rng)[0]
     n_steps = budget_cutoffs(nodes, has_target, cost_per_node, budget)
     return nodes, n_steps
 

@@ -9,9 +9,8 @@ Estimators:
 - NS-HH (Eq. 2):  F̂ = (|E|/k) Σ I(e_i)
 - NS-HT (Eq. 3):  F̂ = Σ_{distinct e in S} I(e) / (1 - (1 - 1/|E|)^k)
 
-The HT variant optionally thins the trajectory to every ``thin``-th
-edge ("r = 2.5% k" strategy of §4.1.3); experiments use thin=1 — see
-DESIGN.md §4.4 for why.
+NS-HT uses every traversed edge, not the paper's thinned "r = 2.5% k"
+subsample (§4.1.3) — see DESIGN.md §4.4 for why.
 """
 from __future__ import annotations
 
@@ -37,11 +36,9 @@ def hh_estimate(edge_ids: np.ndarray, edge_indicator: np.ndarray,
 
 
 def ht_estimate(edge_ids: np.ndarray, edge_indicator: np.ndarray,
-                n_edges: int, thin: int = 1) -> np.ndarray:
-    """NS-HT per simulation row (Eq. 3), with optional thinning."""
-    ids = edge_ids[:, ::thin] if thin > 1 else edge_ids
-    k_used = ids.shape[1]
-    vals = edge_indicator[ids].astype(np.float64)
-    p = estimators.ht_inclusion_prob(np.array(1.0 / n_edges), k_used)
+                n_edges: int) -> np.ndarray:
+    """NS-HT per simulation row (Eq. 3)."""
+    vals = edge_indicator[edge_ids].astype(np.float64)
+    p = estimators.ht_inclusion_prob(np.array(1.0 / n_edges), edge_ids.shape[1])
     incl = np.full_like(vals, float(p))
-    return estimators.horvitz_thompson(vals, incl, ids)
+    return estimators.horvitz_thompson(vals, incl, edge_ids)

@@ -2,16 +2,18 @@
 
 The paper evaluates on SNAP/KONECT Facebook, Google+, Pokec, Orkut and
 LiveJournal, which are not available offline. This module generates
-Barabási–Albert (preferential attachment) graphs — connected by
-construction, heavy-tailed degree distributions — plus the three label
-schemes the paper uses: binary "gender" labels, Zipf-distributed
-"location" labels, and node degree as label (Orkut/LiveJournal).
+the two topologies and three label schemes the five datasets use:
+clique communities with community-majority binary "gender" labels
+(Facebook, Google+), and Barabási–Albert (preferential attachment)
+graphs — connected by construction, heavy-tailed degree distributions —
+with Zipf-distributed "location" labels (Pokec) or node degree as label
+(Orkut, LiveJournal).
 
 Everything is deterministic in ``seed``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +33,6 @@ class LabeledGraph:
     edges: np.ndarray
     labels: np.ndarray
     name: str = "graph"
-    _degrees: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n_edges(self) -> int:
@@ -39,20 +40,8 @@ class LabeledGraph:
 
     @property
     def degrees(self) -> np.ndarray:
-        """Degree of every node, cached."""
-        if self._degrees is None:
-            d = np.bincount(self.edges[:, 0], minlength=self.n)
-            d += np.bincount(self.edges[:, 1], minlength=self.n)
-            self._degrees = d.astype(np.int64)
-        return self._degrees
-
-    def with_labels(self, labels: np.ndarray, name: str | None = None) -> "LabeledGraph":
-        """Same topology, different node labels."""
-        assert labels.shape == (self.n,)
-        return LabeledGraph(
-            self.n, self.edges, np.asarray(labels, dtype=np.int64),
-            name or self.name, self._degrees,
-        )
+        """Degree of every node."""
+        return np.bincount(self.edges.ravel(), minlength=self.n)
 
 
 def ba_edges(n: int, m: int, seed: int = 0) -> np.ndarray:
@@ -97,34 +86,6 @@ def ba_edges(n: int, m: int, seed: int = 0) -> np.ndarray:
     # Dedup is a no-op for BA (targets are distinct per node and new nodes
     # are new), but keeps the contract explicit.
     return np.unique(out, axis=0)
-
-
-def homophilous_binary_labels(edges: np.ndarray, n: int, p: float,
-                              smoothing: float, seed: int = 0) -> np.ndarray:
-    """Binary labels {1, 2} with homophily (assortative mixing).
-
-    Draw i.i.d. Gaussians, add ``smoothing`` times the neighbor mean,
-    and threshold at the p-quantile so exactly ~p of nodes get label 1.
-    ``smoothing = 0`` recovers i.i.d. labels; larger values cluster
-    same-label nodes, pushing the cross-edge fraction below
-    ``2 p (1-p)``. Real OSN gender labels are assortative, and that
-    spatial correlation is what makes NeighborExploration's
-    consecutive samples redundant on high-frequency labels (the
-    paper's finding 4) — i.i.d. labels cannot reproduce it.
-    """
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal(n)
-    if smoothing > 0:
-        deg = np.bincount(edges[:, 0], minlength=n) + np.bincount(
-            edges[:, 1], minlength=n
-        )
-        nbr_sum = np.bincount(edges[:, 0], weights=z[edges[:, 1]], minlength=n)
-        nbr_sum += np.bincount(edges[:, 1], weights=z[edges[:, 0]], minlength=n)
-        x = z + smoothing * nbr_sum / np.maximum(deg, 1)
-    else:
-        x = z
-    thresh = np.quantile(x, p)
-    return np.where(x <= thresh, 1, 2).astype(np.int64)
 
 
 def zipf_labels(n: int, n_labels: int, alpha: float = 1.05, seed: int = 0) -> np.ndarray:
@@ -180,7 +141,8 @@ def community_sizes(n: int, n_comm: int, spread: float = 0.0,
 
 
 def community_clique_graph(n: int, n_comm: int, inter_m: int, seed: int = 0,
-                           size_spread: float = 0.0) -> np.ndarray:
+                           size_spread: float = 0.0
+                           ) -> tuple[np.ndarray, np.ndarray]:
     """Community topology: ``n_comm`` cliques plus ``inter_m`` random
     inter-community edges per node.
 
@@ -195,7 +157,8 @@ def community_clique_graph(n: int, n_comm: int, inter_m: int, seed: int = 0,
     degree heterogeneity that makes EX-MDRW/EX-GMD degrade as in the
     paper's tables.
 
-    Returns (E,2) edges, u < v.
+    Returns ((E,2) edges with u < v, the community sizes); nodes are
+    numbered community by community.
     """
     sizes = community_sizes(n, n_comm, size_spread, seed)
     starts = np.zeros(n_comm, dtype=np.int64)
@@ -222,84 +185,58 @@ def community_clique_graph(n: int, n_comm: int, inter_m: int, seed: int = 0,
     inter = np.stack(
         [np.minimum(src, partner), np.maximum(src, partner)], axis=1
     )
-    return np.unique(np.concatenate([intra, inter]), axis=0)
+    return np.unique(np.concatenate([intra, inter]), axis=0), sizes
 
 
-def community_majority_labels(n: int, n_comm: int, mu: float, q: float = 0.5,
-                              mu_conc: float = 0.0, seed: int = 0,
-                              sizes: np.ndarray | None = None) -> np.ndarray:
-    """Binary labels {1, 2} by community majority.
+def community_majority_labels(sizes: np.ndarray, mu: float,
+                              seed: int = 0) -> np.ndarray:
+    """Binary labels {1, 2} by community majority, for nodes numbered
+    community by community with the given ``sizes``.
 
-    Each community's majority label is 1 with probability ``q``; each
-    node takes its community majority and flips to the other label with
-    a per-community probability mu_c. With ``mu_conc == 0`` every
-    community uses mu_c = ``mu``; otherwise mu_c ~ Beta(mu*mu_conc,
-    (1-mu)*mu_conc) (mean ``mu``, smaller ``mu_conc`` ⇒ more spread).
-
-    The spread matters: heterogeneous community mixing rates make a
-    node's cross-edge share nearly constant *within* a community but
-    vary *between* communities, so NeighborExploration's consecutive
-    same-community samples carry no fresh information while
-    NeighborSample still draws fresh edge indicators — the mechanism
-    behind the paper's finding that NS wins on high-frequency labels.
+    Each community's majority label is 1 or 2 with equal probability;
+    each node takes its community majority and flips to the other label
+    with probability ``mu``.
     """
-    if sizes is None:
-        if n % n_comm:
-            raise ValueError(f"n={n} not divisible by n_comm={n_comm}")
-        sizes = np.full(n_comm, n // n_comm, dtype=np.int64)
-    assert int(sizes.sum()) == n
     rng = np.random.default_rng(seed)
-    majority = np.where(rng.random(n_comm) < q, 1, 2)
-    if mu_conc > 0:
-        mu_c = rng.beta(mu * mu_conc, (1.0 - mu) * mu_conc, size=n_comm)
-    else:
-        mu_c = np.full(n_comm, mu)
+    majority = np.where(rng.random(len(sizes)) < 0.5, 1, 2)
     lab = np.repeat(majority, sizes)
-    flip = rng.random(n) < np.repeat(mu_c, sizes)
+    flip = rng.random(lab.size) < mu
     return np.where(flip, 3 - lab, lab).astype(np.int64)
 
 
-def social_graph(
-    n: int,
-    m: int,
-    label_scheme: str = "gender",
-    seed: int = 0,
-    name: str = "graph",
-    **kw,
-) -> LabeledGraph:
-    """Generate a labeled BA graph.
+# The keywords each label scheme reads; ``social_graph`` rejects others.
+SCHEME_KW = {
+    "community_gender": {"n_comm", "inter_m", "mu", "size_spread"},
+    "zipf": {"m", "n_labels", "alpha"},
+    "degree": {"m"},
+}
 
-    label_scheme: "gender" (kw: p, smoothing), "community_gender"
-    (kw: n_comm, inter_m, mu, q — clique-community topology, ``m`` is
-    ignored), "zipf" (kw: n_labels, alpha) or "degree" (kw: log_base).
+
+def social_graph(n: int, label_scheme: str, seed: int = 0,
+                 name: str = "graph", **kw) -> LabeledGraph:
+    """Generate a labeled graph, deterministic in ``seed``.
+
+    label_scheme: "community_gender" (clique-community topology), or a
+    Barabási–Albert topology with ``m`` edges per new node labeled by
+    "zipf" or "degree"; ``SCHEME_KW`` lists each scheme's keywords.
+    Raises ValueError on an unknown scheme and TypeError on a keyword
+    the scheme does not read.
     """
-    if label_scheme == "community_gender":
-        spread = kw.get("size_spread", 0.0)
-        edges = community_clique_graph(
-            n, kw["n_comm"], kw.get("inter_m", 1), seed=seed,
-            size_spread=spread,
-        )
-        g = LabeledGraph(n, edges, np.zeros(n, dtype=np.int64), name=name)
-        labels = community_majority_labels(
-            n, kw["n_comm"], mu=kw.get("mu", 0.3), q=kw.get("q", 0.5),
-            mu_conc=kw.get("mu_conc", 0.0), seed=seed + 1,
-            sizes=community_sizes(n, kw["n_comm"], spread, seed),
-        )
-        return g.with_labels(labels, name)
-    edges = ba_edges(n, m, seed=seed)
-    g = LabeledGraph(n, edges, np.zeros(n, dtype=np.int64), name=name)
-    if label_scheme == "gender":
-        labels = homophilous_binary_labels(
-            edges, n, p=kw.get("p", 0.5),
-            smoothing=kw.get("smoothing", 0.0), seed=seed + 1,
-        )
-    elif label_scheme == "zipf":
-        labels = zipf_labels(
-            n, n_labels=kw.get("n_labels", 100), alpha=kw.get("alpha", 1.05),
-            seed=seed + 1,
-        )
-    elif label_scheme == "degree":
-        labels = degree_labels(g.degrees)
-    else:
+    if label_scheme not in SCHEME_KW:
         raise ValueError(f"unknown label_scheme {label_scheme!r}")
-    return g.with_labels(labels, name)
+    if extra := sorted(set(kw) - SCHEME_KW[label_scheme]):
+        raise TypeError(f"label_scheme {label_scheme!r} takes no {extra}")
+    if label_scheme == "community_gender":
+        edges, sizes = community_clique_graph(
+            n, kw["n_comm"], kw.get("inter_m", 1), seed=seed,
+            size_spread=kw.get("size_spread", 0.0),
+        )
+        labels = community_majority_labels(sizes, kw.get("mu", 0.3), seed + 1)
+    elif label_scheme == "zipf":
+        edges = ba_edges(n, kw["m"], seed=seed)
+        labels = zipf_labels(n, kw.get("n_labels", 100), kw.get("alpha", 1.05),
+                             seed=seed + 1)
+    else:
+        edges = ba_edges(n, kw["m"], seed=seed)
+        labels = degree_labels(np.bincount(edges.ravel(), minlength=n))
+    return LabeledGraph(n, edges, labels, name)

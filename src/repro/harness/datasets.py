@@ -1,9 +1,9 @@
 """The five synthetic evaluation datasets and their target label pairs.
 
 Mirrors the paper's Table 1 networks with offline substitutes
-(DESIGN.md §4): Barabási–Albert topology, and the paper's three label
-schemes — gender (Facebook, Google+), Zipf locations (Pokec), node
-degree (Orkut, LiveJournal). Facebook is generated at the paper's full
+(DESIGN.md §4) and the paper's three label schemes: gender on a
+clique-community topology (Facebook, Google+), and Zipf locations
+(Pokec) or node degree (Orkut, LiveJournal) on a Barabási–Albert one. Facebook is generated at the paper's full
 scale; the others are scaled down with the target-edge *relative*
 frequencies matched to the paper's.
 
@@ -27,7 +27,6 @@ from repro.graphs.generator import LabeledGraph, social_graph
 class DatasetSpec:
     name: str
     n: int
-    m: int
     scheme: str
     scheme_kw: dict = field(default_factory=dict)
     seed: int = 0
@@ -35,8 +34,6 @@ class DatasetSpec:
     # Either fixed target pairs, or paper relative frequencies to match.
     fixed_pairs: tuple[tuple[int, int], ...] | None = None
     target_fracs: tuple[float, ...] | None = None
-    paper_nv: float = 0.0  # paper's |V| (for EXPERIMENTS.md context)
-    paper_ne: float = 0.0  # paper's |E|
 
 
 SPECS: dict[str, DatasetSpec] = {
@@ -44,19 +41,17 @@ SPECS: dict[str, DatasetSpec] = {
     # 42.4%; real Facebook mixes slowly (T(1e-3)=3200) -> clustered
     # clique-community topology with homophilous gender labels.
     "facebook": DatasetSpec(
-        "facebook", n=4000, m=22, scheme="community_gender",
+        "facebook", n=4000, scheme="community_gender",
         scheme_kw={"n_comm": 165, "inter_m": 2, "mu": 0.30,
                    "size_spread": 0.8},
         seed=11, burnin=600, fixed_pairs=((1, 2),),
-        paper_nv=4.0e3, paper_ne=8.82e4,
     ),
     # Paper: 1.08e5 / 1.22e7, gender, (1,2) at 26.89%.
     "googleplus": DatasetSpec(
-        "googleplus", n=20_000, m=25, scheme="community_gender",
+        "googleplus", n=20_000, scheme="community_gender",
         scheme_kw={"n_comm": 700, "inter_m": 1, "mu": 0.155,
                    "size_spread": 0.8},
         seed=12, burnin=800, fixed_pairs=((1, 2),),
-        paper_nv=1.08e5, paper_ne=1.22e7,
     ),
     # Paper: 1.6e6 / 2.23e7, location labels, four rarity tiers.
     # Tier targets preserve the paper's *estimation-difficulty ladder*
@@ -67,22 +62,22 @@ SPECS: dict[str, DatasetSpec] = {
     # algorithm. We target hits ~ (1, 4, 16, 64) — the paper's hardest
     # tier also sits at ~1 expected NS hit (its NS NRMSE ~ 1.0 there).
     "pokec": DatasetSpec(
-        "pokec", n=40_000, m=14, scheme="zipf",
-        scheme_kw={"n_labels": 300, "alpha": 1.05}, seed=13, burnin=300,
+        "pokec", n=40_000, scheme="zipf",
+        scheme_kw={"m": 14, "n_labels": 300, "alpha": 1.05}, seed=13,
+        burnin=300,
         target_fracs=(5e-4, 2e-3, 8e-3, 3.2e-2),
-        paper_nv=1.6e6, paper_ne=2.23e7,
     ),
     # Paper: 3.08e6 / 1.17e8, degree labels (see tier note above).
     "orkut": DatasetSpec(
-        "orkut", n=30_000, m=38, scheme="degree", seed=14, burnin=300,
+        "orkut", n=30_000, scheme="degree", scheme_kw={"m": 38}, seed=14,
+        burnin=300,
         target_fracs=(6.7e-4, 2.7e-3, 1.07e-2, 4.3e-2),
-        paper_nv=3.08e6, paper_ne=1.17e8,
     ),
     # Paper: 4.8e6 / 4.28e7, degree labels (see tier note above).
     "livejournal": DatasetSpec(
-        "livejournal", n=40_000, m=9, scheme="degree", seed=15, burnin=300,
+        "livejournal", n=40_000, scheme="degree", scheme_kw={"m": 9},
+        seed=15, burnin=300,
         target_fracs=(5e-4, 2e-3, 8e-3, 3.2e-2),
-        paper_nv=4.8e6, paper_ne=4.28e7,
     ),
 }
 
@@ -98,10 +93,8 @@ POKEC_LOCATIONS = {
 def load(name: str) -> LabeledGraph:
     """Generate (deterministically) and cache a dataset's graph."""
     spec = SPECS[name]
-    return social_graph(
-        spec.n, spec.m, label_scheme=spec.scheme, seed=spec.seed,
-        name=name, **spec.scheme_kw,
-    )
+    return social_graph(spec.n, spec.scheme, seed=spec.seed, name=name,
+                        **spec.scheme_kw)
 
 
 @lru_cache(maxsize=None)

@@ -33,6 +33,7 @@ from repro.core import neighbor_sample as ns
 from repro.graphs.csr import build_csr, edge_indicator, t_counts
 from repro.graphs.generator import LabeledGraph
 from repro.harness.nrmse import nrmse_agg
+from repro.harness.paper_numbers import SAMPLE_FRACS
 
 # Paper row order (Tables 4–17).
 ALGORITHM_ORDER = [
@@ -51,7 +52,7 @@ ALGORITHM_ORDER = [
 SAMPLERS = ["NS", "NE", "EX-RW", "EX-MHRW", "EX-MDRW", "EX-RCMH", "EX-GMD"]
 
 # Paper sample sizes: 0.5%|V| .. 5%|V|.
-DEFAULT_FRACS = tuple(round(0.005 * i, 4) for i in range(1, 11))
+DEFAULT_FRACS = SAMPLE_FRACS
 
 
 def build_context(g: LabeledGraph, pair: tuple[int, int], burnin: int) -> dict:

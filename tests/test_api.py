@@ -127,14 +127,14 @@ class TestEnginesMatchReference:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_neighbor_exploration(self, graph, seed):
-        from repro.core import neighbor_exploration as ne
+        from repro.core import walks
         from repro.graphs.csr import t_counts
 
         g, csr = graph
         api = osn_api.RestrictedGraphAPI(csr, g.labels)
         sample, t_map = osn_api.neighbor_exploration_ref(
             api, 30, 20, 1, 2, np.random.default_rng(seed))
-        nodes = ne.sample_nodes_batch(csr, 30, 20, 1, np.random.default_rng(seed))[0]
+        nodes = walks.srw_runs(csr, 30, 20, 1, np.random.default_rng(seed))[0][0]
         assert nodes.tolist() == sample
         truth = t_counts(g.edges, g.labels, g.n, 1, 2)
         targets = [u for u in sample if g.labels[u] in (1, 2)]

@@ -76,7 +76,7 @@ class TestBuildCSR:
         _check_invariants(H.csr_of(g), g)
 
     def test_on_generated_graph(self):
-        g = social_graph(300, 5, seed=3)
+        g = social_graph(300, "degree", seed=3, m=5)
         _check_invariants(H.csr_of(g), g)
 
 

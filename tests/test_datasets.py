@@ -1,9 +1,12 @@
 """Tests for the dataset registry and target-pair selection."""
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.graphs import stats
 from repro.harness import datasets as ds
+from repro.harness.paper_numbers import DATASET_STATS
 
 
 class TestSpecs:
@@ -21,9 +24,9 @@ class TestSpecs:
 
     def test_facebook_matches_paper_scale(self):
         g = ds.load("facebook")
-        spec = ds.SPECS["facebook"]
-        assert g.n == spec.paper_nv
-        assert abs(g.n_edges - spec.paper_ne) / spec.paper_ne < 0.05
+        paper = DATASET_STATS["facebook"]
+        assert g.n == paper["nv"]
+        assert abs(g.n_edges - paper["ne"]) / paper["ne"] < 0.05
 
     def test_csr_cached(self):
         assert ds.load_csr("facebook") is ds.load_csr("facebook")
@@ -83,3 +86,46 @@ class TestPokecLocations:
     def test_names_unique(self):
         names = list(ds.POKEC_LOCATIONS.values())
         assert len(names) == len(set(names))
+
+
+# sha256 of the int64 edge and label arrays, and the target pairs, of
+# every dataset. Any change to the generator's draws or the specs moves
+# at least one of these; a change that must keep the datasets the same
+# must keep these the same.
+PINNED = {
+    "facebook": (
+        "dc8867af8c57658e7d9c3cd092e59a74d5b4ef4870f357e0c3622d062860a450",
+        "d33cf359f2977b708b487053cec99d97794ae39db88d4d1a2d5fffbfe4df1351",
+        ((1, 2),),
+    ),
+    "googleplus": (
+        "f2b6bbf7c8441bfa08e3edfb50133ad34ef38ea53d19e02935d1e589399f9b45",
+        "073adc8269f7ed6b33f9777bb4b170a3a1c85250e1f8c31b5f5406cfe3915524",
+        ((1, 2),),
+    ),
+    "pokec": (
+        "859d23c98cc334f6096a7abac0bb0dd52e8d2efc4597bf36da48ad7c3ed20fa4",
+        "1cf3a0038712b89fe3f1ced99bd1fe29b13292a664158fe5ed88012e400b56c5",
+        ((4, 19), (0, 30), (0, 7), (0, 0)),
+    ),
+    "orkut": (
+        "d06801cd99e9ca60a00d04e3e1a0281b822b5ac59f2f7d5db3b9b3868dbf570c",
+        "6fd4420567f80305cce6c0d68ab8b4450b14e70333763a13ab2c2262bd3ba5bb",
+        ((15, 15), (14, 17), (10, 16), (9, 13)),
+    ),
+    "livejournal": (
+        "6d5fc3f018136e549672b87cad5e9ff26b455b321deb99fa3fdacc760f9b5c91",
+        "925ab93875e1d8482e7940e8454ea838f84ed1e12e7a221dc81531052c9b9704",
+        ((12, 12), (10, 13), (7, 12), (5, 5)),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED))
+def test_generation_pinned(name):
+    g = ds.load(name)
+    assert g.edges.dtype == g.labels.dtype == np.int64
+    edges, labels, pairs = PINNED[name]
+    assert hashlib.sha256(np.ascontiguousarray(g.edges).tobytes()).hexdigest() == edges
+    assert hashlib.sha256(np.ascontiguousarray(g.labels).tobytes()).hexdigest() == labels
+    assert ds.target_pairs(name) == pairs

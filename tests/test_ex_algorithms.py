@@ -54,20 +54,21 @@ class TestBaselines:
         and its MH step (beta=1) accepts every proposal, so from the
         same seed one step moves exactly where the RW step does."""
         g, csr, ld, ind, F = setup
-        monkeypatch.setattr(ex, "ALPHA", 0.0)
-        (rc_step, rc_w), (rw_step, rw_w) = ex.CHAINS["EX-RCMH"], ex.CHAINS["EX-RW"]
+        monkeypatch.setitem(ex.CHAINS, "EX-RCMH", (1.0 - 0.0, 0.0))
+        ids = np.random.default_rng(5).integers(0, csr.n_edges, size=(20, 30))
+        assert np.allclose(ex.estimate("EX-RCMH", ids, ld, ind, csr.n_edges),
+                           ex.estimate("EX-RW", ids, ld, ind, csr.n_edges))
         m = float(ld.max())
-        d = ld.astype(np.float64)
-        assert np.allclose(rc_w(d, m), rw_w(d, m))
+        (rc_beta, rc_c), (rw_beta, rw_c) = ex.CHAINS["EX-RCMH"], ex.CHAINS["EX-RW"]
         arcs = lg.uniform_start_arcs(csr, 200, np.random.default_rng(6))
-        a = rc_step(csr, arcs, np.random.default_rng(7), ld, m)
-        b = rw_step(csr, arcs, np.random.default_rng(7), ld, m)
+        a = lg.lg_step(csr, arcs, np.random.default_rng(7), ld, rc_beta, rc_c * m)
+        b = lg.lg_step(csr, arcs, np.random.default_rng(7), ld, rw_beta, rw_c * m)
         assert (a == b).all()
 
     def test_gmd_delta_one_is_mdrw(self, setup, monkeypatch):
         """delta=1 -> cap = max deg': identical kernel to EX-MDRW, and a
         constant weight, so the same estimates."""
-        monkeypatch.setattr(ex, "DELTA", 1.0)
+        monkeypatch.setitem(ex.CHAINS, "EX-GMD", (1.0, 1.0))
         a = run(setup, "EX-GMD", 30, 20, 50, np.random.default_rng(8))
         b = run(setup, "EX-MDRW", 30, 20, 50, np.random.default_rng(8))
         assert np.allclose(a, b)

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graphs import generator as gen
-from repro.graphs.csr import build_csr, edge_indicator
 
 
 def _is_connected(edges: np.ndarray, n: int) -> bool:
@@ -79,15 +78,6 @@ class TestBAEdges:
 
 
 class TestLabels:
-    def test_homophilous_fraction_and_assortativity(self):
-        e = gen.ba_edges(2000, 5, seed=1)
-        iid = gen.homophilous_binary_labels(e, 2000, 0.5, 0.0, seed=2)
-        hom = gen.homophilous_binary_labels(e, 2000, 0.5, 3.0, seed=2)
-        assert abs((hom == 1).mean() - 0.5) < 0.02
-        cross_iid = edge_indicator(e, iid, 1, 2).mean()
-        cross_hom = edge_indicator(e, hom, 1, 2).mean()
-        assert cross_hom < cross_iid  # smoothing adds homophily
-
     def test_zipf_skew(self):
         lab = gen.zipf_labels(50000, 100, alpha=1.2, seed=3)
         counts = np.bincount(lab, minlength=100)
@@ -107,7 +97,7 @@ class TestLabels:
 
 class TestCommunityGraph:
     def test_shapes_and_cliques(self):
-        e = gen.community_clique_graph(40, 4, 1, seed=0)
+        e, _ = gen.community_clique_graph(40, 4, 1, seed=0)
         assert (e[:, 0] < e[:, 1]).all()
         assert len(np.unique(e, axis=0)) == len(e)
         # every intra-community pair of community 0 present
@@ -117,7 +107,7 @@ class TestCommunityGraph:
                 assert (i, j) in es
 
     def test_inter_edges_exist(self):
-        e = gen.community_clique_graph(40, 4, 2, seed=1)
+        e, _ = gen.community_clique_graph(40, 4, 2, seed=1)
         comm = e // 10
         assert (comm[:, 0] != comm[:, 1]).any()
 
@@ -126,13 +116,13 @@ class TestCommunityGraph:
             gen.community_clique_graph(41, 4, 1)
 
     def test_connected(self):
-        e = gen.community_clique_graph(120, 12, 2, seed=2)
+        e, _ = gen.community_clique_graph(120, 12, 2, seed=2)
         assert _is_connected(e, 120)
 
     def test_deterministic(self):
-        a = gen.community_clique_graph(60, 6, 1, seed=9)
-        b = gen.community_clique_graph(60, 6, 1, seed=9)
-        assert (a == b).all()
+        a, sa = gen.community_clique_graph(60, 6, 1, seed=9)
+        b, sb = gen.community_clique_graph(60, 6, 1, seed=9)
+        assert (a == b).all() and (sa == sb).all()
 
 
 class TestCommunitySizes:
@@ -162,14 +152,14 @@ class TestCommunitySizes:
 
 class TestVariableCliqueGraph:
     def test_connected_and_simple(self):
-        e = gen.community_clique_graph(300, 15, 2, seed=3, size_spread=0.8)
+        e, _ = gen.community_clique_graph(300, 15, 2, seed=3, size_spread=0.8)
         assert _is_connected(e, 300)
         assert (e[:, 0] < e[:, 1]).all()
         assert len(np.unique(e, axis=0)) == len(e)
 
     def test_degree_heterogeneity(self):
-        eq = gen.community_clique_graph(400, 20, 1, seed=4)
-        var = gen.community_clique_graph(400, 20, 1, seed=4, size_spread=1.0)
+        eq, _ = gen.community_clique_graph(400, 20, 1, seed=4)
+        var, _ = gen.community_clique_graph(400, 20, 1, seed=4, size_spread=1.0)
 
         def deg_cv(e, n):
             d = np.bincount(e.ravel(), minlength=n).astype(float)
@@ -178,8 +168,9 @@ class TestVariableCliqueGraph:
         assert deg_cv(var, 400) > 2 * deg_cv(eq, 400)
 
     def test_labels_with_sizes(self):
-        sizes = gen.community_sizes(200, 8, 0.8, seed=5)
-        lab = gen.community_majority_labels(200, 8, mu=0.0, seed=5, sizes=sizes)
+        _, sizes = gen.community_clique_graph(200, 8, 1, seed=5, size_spread=0.8)
+        assert (sizes == gen.community_sizes(200, 8, 0.8, seed=5)).all()
+        lab = gen.community_majority_labels(sizes, mu=0.0, seed=5)
         start = 0
         for s in sizes:
             block = lab[start:start + int(s)]
@@ -189,13 +180,13 @@ class TestVariableCliqueGraph:
 
 class TestCommunityLabels:
     def test_pure_communities_when_mu_zero(self):
-        lab = gen.community_majority_labels(100, 10, mu=0.0, seed=0)
+        lab = gen.community_majority_labels(np.full(10, 10), mu=0.0, seed=0)
         for c in range(10):
             block = lab[c * 10:(c + 1) * 10]
             assert len(set(block)) == 1
 
     def test_flip_rate(self):
-        lab = gen.community_majority_labels(100000, 10, mu=0.3, seed=1)
+        lab = gen.community_majority_labels(np.full(10, 10000), mu=0.3, seed=1)
         maj = [np.bincount(lab[c * 10000:(c + 1) * 10000]).argmax() for c in range(10)]
         minority = np.mean(
             [
@@ -205,40 +196,19 @@ class TestCommunityLabels:
         )
         assert abs(minority - 0.3) < 0.02
 
-    def test_q_extremes(self):
-        all1 = gen.community_majority_labels(100, 10, mu=0.0, q=1.0, seed=2)
-        assert (all1 == 1).all()
-        all2 = gen.community_majority_labels(100, 10, mu=0.0, q=0.0, seed=2)
-        assert (all2 == 2).all()
-
-    def test_mu_spread_changes_between_community_rates(self):
-        flat = gen.community_majority_labels(40000, 40, mu=0.3, mu_conc=0.0, seed=3)
-        spread = gen.community_majority_labels(40000, 40, mu=0.3, mu_conc=1.0, seed=3)
-
-        def comm_minor_rates(lab):
-            rates = []
-            for c in range(40):
-                block = lab[c * 1000:(c + 1) * 1000]
-                maj = np.bincount(block).argmax()
-                rates.append((block != maj).mean())
-            return np.std(rates)
-
-        assert comm_minor_rates(spread) > 2 * comm_minor_rates(flat)
-
-    def test_rejects_indivisible(self):
-        with pytest.raises(ValueError):
-            gen.community_majority_labels(101, 10, mu=0.1)
-
 
 class TestSocialGraph:
+    # Explicit ids keep per-test results comparable over time.
     @pytest.mark.parametrize("scheme,kw", [
-        ("gender", {"p": 0.6}),
-        ("zipf", {"n_labels": 20, "alpha": 1.1}),
-        ("degree", {}),
-        ("community_gender", {"n_comm": 10, "inter_m": 1, "mu": 0.2}),
+        pytest.param("zipf", {"m": 3, "n_labels": 20, "alpha": 1.1},
+                     id="zipf-kw1"),
+        pytest.param("degree", {"m": 3}, id="degree-kw2"),
+        pytest.param("community_gender",
+                     {"n_comm": 10, "inter_m": 1, "mu": 0.2},
+                     id="community_gender-kw3"),
     ])
     def test_schemes(self, scheme, kw):
-        g = gen.social_graph(100, 3, label_scheme=scheme, seed=5, **kw)
+        g = gen.social_graph(100, scheme, seed=5, **kw)
         assert g.n == 100
         assert g.labels.shape == (100,)
         assert g.n_edges > 0
@@ -246,15 +216,19 @@ class TestSocialGraph:
 
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):
-            gen.social_graph(50, 3, label_scheme="nope")
+            gen.social_graph(50, "nope", m=3)
 
-    def test_with_labels_shares_topology(self):
-        g = gen.social_graph(50, 3, seed=6)
-        g2 = g.with_labels(np.ones(50, dtype=np.int64))
-        assert g2.edges is g.edges
-        assert (g2.labels == 1).all()
+    @pytest.mark.parametrize("scheme,kw", [
+        ("community_gender", {"n_comm": 10, "m": 3}),
+        ("community_gender", {"n_comm": 10, "mu_conc": 1.0}),
+        ("zipf", {"m": 3, "n_label": 5}),
+        ("degree", {"m": 3, "n_labels": 5}),
+    ])
+    def test_rejects_keywords_the_scheme_ignores(self, scheme, kw):
+        with pytest.raises(TypeError):
+            gen.social_graph(100, scheme, seed=1, **kw)
 
     def test_degree_scheme_uses_graph_degrees(self):
-        g = gen.social_graph(200, 4, label_scheme="degree", seed=7)
+        g = gen.social_graph(200, "degree", seed=7, m=4)
         expected = gen.degree_labels(g.degrees)
         assert (g.labels == expected).all()

@@ -42,7 +42,7 @@ class TestConnectedComponents:
         assert got == [2, 3, 4]
 
     def test_generated_graph_fully_connected(self, spark):
-        g = social_graph(150, 3, seed=2)
+        g = social_graph(150, "degree", seed=2, m=3)
         nodes = lcc.largest_component_nodes(spark, edges_df(spark, g)).toPandas()
         assert len(nodes) == g.n
 

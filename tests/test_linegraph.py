@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from repro.baselines import ex_algorithms as ex
 from repro.baselines import linegraph as lg
 from tests import _helpers as H
 
@@ -87,62 +88,73 @@ class TestUniformNeighbor:
         p = counts[sorted(nbrs)] / n
         assert np.abs(p - 1 / len(nbrs)).max() < 5 * np.sqrt(1 / len(nbrs) / n) + 0.01
 
-    def test_srw_stationary_proportional_to_line_degree(self, small):
+
+# Each chain's stationary law pi' (up to normalization), from its (beta,
+# C) row: ∝ max(deg', C) · deg'^(beta-1).
+STATIONARY = {
+    "EX-RW": lambda d, m: d,
+    "EX-MHRW": lambda d, m: np.ones_like(d),
+    "EX-RCMH": lambda d, m: d ** (1 - ex.ALPHA),
+    "EX-MDRW": lambda d, m: np.ones_like(d),
+    "EX-GMD": lambda d, m: np.maximum(d, ex.DELTA * m),
+}
+
+
+class TestStep:
+    @pytest.mark.parametrize("name", list(ex.CHAINS))
+    def test_stationary_law(self, small, name):
+        """Visit frequencies after burn-in match the chain's pi'. The
+        total-variation bound sits at ~2x the sampling noise and below
+        the distance between any two distinct laws of the five (≥ 0.04
+        here), so a chain walking toward another chain's law fails."""
         g, csr = small
         ld = lg.line_degrees(csr)
+        beta, c = ex.CHAINS[name]
+        cap = c * float(ld.max())
         rng = np.random.default_rng(2)
-        arcs = lg.uniform_start_arcs(csr, 400, rng)
-        for _ in range(80):
-            arcs = lg.lg_srw_step(csr, arcs, rng)
+        arcs = lg.uniform_start_arcs(csr, 1000, rng)
+        for _ in range(300):
+            arcs = lg.lg_step(csr, arcs, rng, ld, beta, cap)
         counts = np.zeros(csr.n_edges)
-        for _ in range(80):
-            arcs = lg.lg_srw_step(csr, arcs, rng)
+        for _ in range(300):
+            arcs = lg.lg_step(csr, arcs, rng, ld, beta, cap)
             counts += np.bincount(csr.edge_ids[arcs], minlength=csr.n_edges)
-        freq = counts / counts.sum()
-        pi = ld / ld.sum()
-        assert np.abs(freq - pi).max() < 0.01
+        pi = STATIONARY[name](ld.astype(float), float(ld.max()))
+        assert 0.5 * np.abs(counts / counts.sum() - pi / pi.sum()).sum() < 0.025
+
+    @pytest.mark.parametrize("name", list(ex.CHAINS))
+    def test_draws_only_what_it_uses(self, small, name):
+        """One step equals its explicit composition: a move uniform iff
+        C > 0, the proposal, then an acceptance uniform iff beta != 1 —
+        and leaves the generator exactly where that composition does."""
+        g, csr = small
+        ld = lg.line_degrees(csr)
+        beta, c = ex.CHAINS[name]
+        cap = c * float(ld.max())
+        arcs = lg.uniform_start_arcs(csr, 300, np.random.default_rng(3))
+        got_rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+        got = lg.lg_step(csr, arcs, got_rng, ld, beta, cap)
+        de = ld[csr.edge_ids[arcs]].astype(float)
+        move = np.ones(arcs.shape, dtype=bool)
+        if cap > 0:
+            move &= ref_rng.random(arcs.size) < de / np.maximum(de, cap)
+        prop = lg.lg_uniform_neighbor(csr, arcs, ref_rng)
+        if beta != 1:
+            df = ld[csr.edge_ids[prop]].astype(float)
+            move &= ref_rng.random(arcs.size) < (df / de) ** (beta - 1)
+        assert (got == np.where(move, prop, arcs)).all()
+        assert got_rng.random() == ref_rng.random()
 
 
 class TestMHAndCapped:
-    def test_mh_uniform_target(self, small):
-        """beta=0 (EX-MHRW) should visit every edge equally."""
-        g, csr = small
-        ld = lg.line_degrees(csr)
-        rng = np.random.default_rng(3)
-        arcs = lg.uniform_start_arcs(csr, 400, rng)
-        for _ in range(120):
-            arcs = lg.lg_mh_step(csr, arcs, rng, ld, beta=0.0)
-        counts = np.zeros(csr.n_edges)
-        for _ in range(120):
-            arcs = lg.lg_mh_step(csr, arcs, rng, ld, beta=0.0)
-            counts += np.bincount(csr.edge_ids[arcs], minlength=csr.n_edges)
-        freq = counts / counts.sum()
-        assert np.abs(freq - 1 / csr.n_edges).max() < 0.01
-
     def test_mh_beta_one_is_srw(self, small):
-        """beta=1 accepts everything — identical to the line-graph SRW."""
+        """beta=1, C=0 (EX-RW) always moves to the uniform proposal."""
         g, csr = small
         ld = lg.line_degrees(csr)
         arcs = lg.uniform_start_arcs(csr, 50, np.random.default_rng(4))
-        a = lg.lg_mh_step(csr, arcs.copy(), np.random.default_rng(5), ld, beta=1.0)
-        b = lg.lg_srw_step(csr, arcs.copy(), np.random.default_rng(5))
+        a = lg.lg_step(csr, arcs.copy(), np.random.default_rng(5), ld, 1.0, 0.0)
+        b = lg.lg_uniform_neighbor(csr, arcs.copy(), np.random.default_rng(5))
         assert (csr.edge_ids[a] == csr.edge_ids[b]).all()
-
-    def test_capped_full_cap_uniform(self, small):
-        """cap = max deg' (EX-MDRW) has uniform stationary distribution."""
-        g, csr = small
-        ld = lg.line_degrees(csr)
-        cap = float(ld.max())
-        rng = np.random.default_rng(6)
-        arcs = lg.uniform_start_arcs(csr, 400, rng)
-        for _ in range(200):
-            arcs = lg.lg_capped_step(csr, arcs, rng, ld, cap)
-        counts = np.zeros(csr.n_edges)
-        for _ in range(200):
-            arcs = lg.lg_capped_step(csr, arcs, rng, ld, cap)
-            counts += np.bincount(csr.edge_ids[arcs], minlength=csr.n_edges)
-        freq = counts / counts.sum()
-        assert np.abs(freq - 1 / csr.n_edges).max() < 0.012
 
     def test_capped_self_loops_happen(self, small):
         g, csr = small
@@ -150,5 +162,5 @@ class TestMHAndCapped:
         cap = float(ld.max())
         rng = np.random.default_rng(7)
         arcs = lg.uniform_start_arcs(csr, 200, rng)
-        new = lg.lg_capped_step(csr, arcs, rng, ld, cap)
+        new = lg.lg_step(csr, arcs, rng, ld, 1.0, cap)
         assert (csr.edge_ids[new] == csr.edge_ids[arcs]).any()

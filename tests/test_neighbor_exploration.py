@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from repro.core import neighbor_exploration as ne
+from repro.core import walks
 from repro.graphs.csr import edge_indicator, t_counts
 from tests import _helpers as H
 
@@ -83,7 +84,7 @@ class TestMatchesPerRowLoop:
     def test_cutoffs_and_ht(self, setup, budget):
         g, csr, t, F, has, cost = setup
         d, e = csr.degrees, csr.n_edges
-        nodes = ne.sample_nodes_batch(csr, 60, 20, 30, np.random.default_rng(5))
+        nodes = walks.srw_runs(csr, 60, 20, 30, np.random.default_rng(5))[0]
         cut = ne.budget_cutoffs(nodes, has, cost, budget)
         ht = ne.ht_estimate(nodes, t, d, e, cut)
         for i, row in enumerate(nodes):
@@ -150,7 +151,7 @@ class TestEstimators:
     def test_nearly_unbiased(self, setup, est, kw):
         g, csr, t, F, has, cost = setup
         rng = np.random.default_rng(2)
-        nodes = ne.sample_nodes_batch(csr, 80, 120, 400, rng)
+        nodes = walks.srw_runs(csr, 80, 120, 400, rng)[0]
         scale = csr.n_edges if kw["n_edges"] else g.n
         out = est(nodes, t, csr.degrees, scale)
         assert out.mean() == pytest.approx(F, rel=0.1)
@@ -158,6 +159,6 @@ class TestEstimators:
     def test_ht_nearly_unbiased(self, setup):
         g, csr, t, F, has, cost = setup
         rng = np.random.default_rng(3)
-        nodes = ne.sample_nodes_batch(csr, 80, 120, 400, rng)
+        nodes = walks.srw_runs(csr, 80, 120, 400, rng)[0]
         out = ne.ht_estimate(nodes, t, csr.degrees, csr.n_edges)
         assert out.mean() == pytest.approx(F, rel=0.2)
