@@ -18,6 +18,7 @@ incident edge of u *excluding* (u,v)" (``repro.baselines.linegraph``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,8 +39,10 @@ class CSR:
     def n_arcs(self) -> int:
         return int(self.indices.shape[0])
 
-    @property
+    @cached_property
     def degrees(self) -> np.ndarray:
+        """(n,) node degrees, computed on first access and kept: the
+        line-graph step reads them at every step."""
         return np.diff(self.indptr)
 
     @property

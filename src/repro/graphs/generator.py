@@ -72,20 +72,26 @@ def ba_edges(n: int, m: int, seed: int = 0) -> np.ndarray:
         targets: set[int] = set()
         while len(targets) < m:
             draw = rng.integers(0, filled, size=m - len(targets))
-            targets.update(int(endpoints[i]) for i in draw)
-        for t in targets:
-            edges[n_edges, 0] = t
-            edges[n_edges, 1] = v
-            n_edges += 1
-            endpoints[filled] = t
-            endpoints[filled + 1] = v
-            filled += 2
-    lo = np.minimum(edges[:, 0], edges[:, 1])
-    hi = np.maximum(edges[:, 0], edges[:, 1])
-    out = np.stack([lo, hi], axis=1)
-    # Dedup is a no-op for BA (targets are distinct per node and new nodes
-    # are new), but keeps the contract explicit.
-    return np.unique(out, axis=0)
+            targets.update(endpoints[draw].tolist())
+        # The m edges in set-iteration order, endpoints appended pairwise.
+        row = list(targets)
+        edges[n_edges:n_edges + m, 0] = row
+        edges[n_edges:n_edges + m, 1] = v
+        endpoints[filled:filled + 2 * m:2] = row
+        endpoints[filled + 1:filled + 2 * m:2] = v
+        n_edges += m
+        filled += 2 * m
+    # Every row is (existing target, new node), so u < v already. Dedup
+    # is a no-op for BA (targets are distinct per node and new nodes are
+    # new), but keeps the contract explicit.
+    return _unique_edges(edges, n)
+
+
+def _unique_edges(edges: np.ndarray, n: int) -> np.ndarray:
+    """``np.unique(edges, axis=0)`` for an (E, 2) array of node ids in
+    [0, n), as one 1-D unique over the row key ``u * n + v``."""
+    key = np.unique(edges[:, 0] * n + edges[:, 1])
+    return np.stack([key // n, key % n], axis=1)
 
 
 def zipf_labels(n: int, n_labels: int, alpha: float = 1.05, seed: int = 0) -> np.ndarray:
@@ -185,7 +191,7 @@ def community_clique_graph(n: int, n_comm: int, inter_m: int, seed: int = 0,
     inter = np.stack(
         [np.minimum(src, partner), np.maximum(src, partner)], axis=1
     )
-    return np.unique(np.concatenate([intra, inter]), axis=0), sizes
+    return _unique_edges(np.concatenate([intra, inter]), n), sizes
 
 
 def community_majority_labels(sizes: np.ndarray, mu: float,

@@ -45,6 +45,17 @@ class TestBuildCSR:
         names = [f.name for f in dataclasses.fields(CSR)]
         assert names == ["n", "indptr", "indices", "edge_ids", "rev"]
 
+    def test_arc_arrays_int64(self):
+        csr = H.csr_of(H.small_random(40, 4, 1))
+        for a in (csr.indptr, csr.indices, csr.edge_ids, csr.rev):
+            assert a.dtype == np.int64
+
+    def test_degrees_computed_once(self):
+        g = H.small_random(40, 4, 1)
+        csr = H.csr_of(g)
+        assert csr.degrees is csr.degrees
+        assert (csr.degrees == np.bincount(g.edges.ravel(), minlength=g.n)).all()
+
     def test_neighbors_triangle(self):
         csr = H.csr_of(H.triangle())
         assert sorted(csr.neighbors(0).tolist()) == [1, 2]
