@@ -9,18 +9,13 @@ from repro.harness import tables as T
 
 
 def _summaries(spark):
-    tables = [
+    return T.best_summaries([
         T.reproduce_nrmse_table(
             spark, no, n_sims=BENCH_SIMS, seed=BENCH_SEED,
             sample_fracs=(0.05,),
         )
         for no in T.NRMSE_TABLES
-    ]
-    out = {}
-    for best_no, names in T.BEST_TABLES.items():
-        group = [t for t in tables if t.attrs["dataset"] in names]
-        out[best_no] = T.best_summary(group)
-    return out
+    ])
 
 
 def test_bench_best_summaries(benchmark, spark):

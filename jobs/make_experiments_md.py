@@ -119,8 +119,7 @@ def main() -> None:
     out += ["## Tables 4-17 — NRMSE vs sample size (API-call budget)", ""]
     measured = {}
     for no in sorted(T.NRMSE_TABLES):
-        t = T.reproduce_nrmse_table(spark, no, n_sims=args.sims,
-                                    seed=args.seed + no)
+        t = T.reproduce_nrmse_table(spark, no, n_sims=args.sims, seed=args.seed)
         measured[no] = t
         out.append(_nrmse_block(no, t, args.sims))
         print(f"[experiments-md] table {no} done", file=sys.stderr)
@@ -148,9 +147,7 @@ def main() -> None:
 
     # Tables 23-26.
     out += ["## Tables 23-26 — best algorithm at 5%|V| API calls", ""]
-    for best_no, names in T.BEST_TABLES.items():
-        group = [t for t in measured.values() if t.attrs["dataset"] in names]
-        summary = T.best_summary(group)
+    for best_no, summary in T.best_summaries(list(measured.values())).items():
         paper_df = pd.DataFrame(
             P.BEST_TABLES[best_no],
             columns=["dataset", "pair", "best_algorithm", "nrmse"],
@@ -159,7 +156,7 @@ def main() -> None:
                 paper_df.to_string(index=False), "```",
                 "Measured:", "```", summary.to_string(index=False), "```", ""]
 
-    out += [FINDINGS]
+    out += [FINDINGS.format(sims=args.sims, lo=0.7 * args.sims ** -0.5, hi=args.sims ** -0.5)]
     Path(args.out).write_text("\n".join(out) + "\n")
     print(f"wrote {args.out}")
     spark.stop()
@@ -214,8 +211,8 @@ Deviations (documented, understood):
   NS hits per run ~ 1, 4, 16, 64) rather than raw F/|E| — at 40-100x
   node downscale the paper's 1e-5 tiers would have F ~ 6 and every
   algorithm would be stuck at NRMSE >= 1 (see DESIGN.md §4.2).
-- **Simulation count**: 100 sims per cell here vs the paper's 200 —
-  individual cells carry ~7-10% relative Monte-Carlo noise.
+- **Simulation count**: {sims} sims per cell here vs the paper's 200 —
+  individual cells carry ~{lo:.0%}-{hi:.0%} relative Monte-Carlo noise.
 """
 
 

@@ -13,16 +13,13 @@ from pyspark.sql import SparkSession
 from repro.core.bounds import all_bounds
 from repro.graphs import stats
 from repro.harness import datasets as ds
+from repro.harness.paper_numbers import BOUND_COLS as COLS
 from repro.harness.session import get_spark
 
 TABLE_NO = {
     "facebook": 18, "googleplus": 19, "pokec": 20, "orkut": 21,
     "livejournal": 22,
 }
-COLS = [
-    "NeighborSample-HH", "NeighborSample-HT", "NeighborExploration-HH",
-    "NeighborExploration-HT", "NeighborExploration-RW",
-]
 
 
 def bounds_table(spark: SparkSession, name: str,

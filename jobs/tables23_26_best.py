@@ -17,17 +17,10 @@ from repro.harness.session import get_spark
 
 
 def run(spark: SparkSession, n_sims: int, seed: int) -> dict:
-    tables_by_no = {
-        no: T.reproduce_nrmse_table(spark, no, n_sims=n_sims, seed=seed)
+    return T.best_summaries([
+        T.reproduce_nrmse_table(spark, no, n_sims=n_sims, seed=seed)
         for no in T.NRMSE_TABLES
-    }
-    out = {}
-    for best_no, names in T.BEST_TABLES.items():
-        group = [
-            t for t in tables_by_no.values() if t.attrs["dataset"] in names
-        ]
-        out[best_no] = T.best_summary(group)
-    return out
+    ])
 
 
 def main() -> None:

@@ -1,15 +1,13 @@
 """NeighborExploration (paper §4.2): node sampling + neighbor exploration.
 
 Sampling: burn in, then continue the walk under an *API-call budget* —
-the paper's tables put "sample size = x% |V| API calls" on the x-axis
-(Tables 23–26 say "using 5%|V| API calls"). Each walk step costs one
-call (the friend-list fetch that the step itself requires); when the
-visited node u carries a target label, all its neighbors are explored
-to obtain T(u), which costs ``ceil(d(u)/EXPLORE_BATCH)`` extra
-profile-batch calls, charged once per distinct node per run (profiles
-are cached). This accounting is what makes the paper's crossover
-happen: on gender-labeled graphs every node triggers exploration, so a
-k-call budget buys NE only ~k/(1 + d/B) steps while NeighborSample
+the paper's tables put "sample size = x% |V| API calls" on the x-axis.
+The calls are priced in ``repro.osn.api``: one per walk step, plus
+``explore_cost(d(u))`` profile-batch calls on the first visit of a
+target-labeled node u; ``osn.api.neighbor_exploration_ref`` is the
+step-by-step reference of the cut below. This makes the paper's
+crossover: on gender-labeled graphs every node triggers exploration, so
+a k-call budget buys NE only ~k/(1 + d/10) steps while NeighborSample
 gets k — and NS wins; on rare labels exploration is almost free and
 NE's T(u) information wins.
 
@@ -28,13 +26,6 @@ import numpy as np
 
 from repro.core import estimators, walks
 from repro.graphs.csr import CSR
-
-EXPLORE_BATCH = 10
-
-
-def explore_cost(degrees: np.ndarray) -> np.ndarray:
-    """Profile-batch API calls needed to label all neighbors of a node."""
-    return np.ceil(degrees / EXPLORE_BATCH).astype(np.int64)
 
 
 def budget_cutoffs(nodes: np.ndarray, has_target: np.ndarray,

@@ -19,8 +19,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.graphs.csr import CSR, build_csr
+from repro.graphs.csr import CSR
 from repro.graphs.generator import LabeledGraph, social_graph
+from repro.harness.experiment import graph_arrays
 
 
 @dataclass(frozen=True)
@@ -97,10 +98,12 @@ def load(name: str) -> LabeledGraph:
                         **spec.scheme_kw)
 
 
-@lru_cache(maxsize=None)
+# build_context's graph memo is the one cache of a graph's CSR; this
+# wrapper stores nothing but keeps ``cache_clear`` like the others.
+@lru_cache(maxsize=0)
 def load_csr(name: str) -> CSR:
-    g = load(name)
-    return build_csr(g.edges, g.n)
+    """The CSR that ``build_context`` holds for ``load(name)``."""
+    return graph_arrays(load(name))["csr"]
 
 
 def pair_counts_np(g: LabeledGraph) -> tuple[np.ndarray, np.ndarray]:

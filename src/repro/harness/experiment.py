@@ -37,6 +37,7 @@ from repro.graphs.csr import build_csr, edge_indicator, t_counts
 from repro.graphs.generator import LabeledGraph
 from repro.harness.nrmse import nrmse_agg
 from repro.harness.paper_numbers import SAMPLE_FRACS
+from repro.osn.api import explore_cost
 
 # Paper row order (Tables 4–17).
 ALGORITHM_ORDER = [
@@ -70,7 +71,7 @@ _graph_memo: tuple | None = None
 _graph_bcast: tuple | None = None
 
 
-def _graph_arrays(g: LabeledGraph) -> dict:
+def graph_arrays(g: LabeledGraph) -> dict:
     """The GRAPH_KEYS arrays of ``g``, rebuilt only when ``g``'s edge
     array or node count differs from the last call's (``datasets.load``
     returns one cached graph per dataset). Raises ValueError on an
@@ -86,7 +87,7 @@ def _graph_arrays(g: LabeledGraph) -> dict:
             "csr": csr,
             "degrees": csr.degrees,
             "line_deg": line_degrees(csr),
-            "explore_cost": ne.explore_cost(csr.degrees),
+            "explore_cost": explore_cost(csr.degrees),
         })
     return _graph_memo[2]
 
@@ -98,7 +99,7 @@ def build_context(g: LabeledGraph, pair: tuple[int, int], burnin: int) -> dict:
     Raises ValueError on a graph with an isolated node or a pair with
     no target edge (NRMSE divides by F).
     """
-    graph = _graph_arrays(g)
+    graph = graph_arrays(g)
     ind = edge_indicator(g.edges, g.labels, pair[0], pair[1]).astype(bool)
     n_target = int(ind.sum())
     if n_target == 0:

@@ -44,9 +44,7 @@ def reproduce_nrmse_table(spark: SparkSession, table_no: int,
         spark, g, pair, burnin=spec.burnin, sample_fracs=sample_fracs,
         n_sims=n_sims, seed=seed + table_no, samplers=samplers,
     )
-    t.attrs["dataset"] = name
-    t.attrs["pair"] = pair
-    t.attrs["table_no"] = table_no
+    t.attrs.update(dataset=name, pair=pair, table_no=table_no)
     return t
 
 
@@ -63,15 +61,18 @@ def best_summary(tables: list[pd.DataFrame], frac: float = 0.05) -> pd.DataFrame
     rows = []
     for t in tables:
         alg, v = best_at_frac(t, frac)
-        rows.append(
-            {
-                "dataset": t.attrs.get("dataset", "?"),
-                "pair": str(t.attrs.get("pair", "?")),
-                "best_algorithm": alg,
-                "nrmse": round(v, 3),
-            }
-        )
+        rows.append({"dataset": t.attrs.get("dataset", "?"),
+                     "pair": str(t.attrs.get("pair", "?")),
+                     "best_algorithm": alg, "nrmse": round(v, 3)})
     return pd.DataFrame(rows)
+
+
+def best_summaries(tables: list[pd.DataFrame], frac: float = 0.05
+                   ) -> dict[int, pd.DataFrame]:
+    """Tables 23–26: each one's ``best_summary`` over the tables on its
+    datasets."""
+    return {no: best_summary([t for t in tables if t.attrs["dataset"] in names], frac)
+            for no, names in BEST_TABLES.items()}
 
 
 def format_table(table: pd.DataFrame, decimals: int = 3) -> str:

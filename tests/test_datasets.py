@@ -6,6 +6,7 @@ import pytest
 
 from repro.graphs import stats
 from repro.harness import datasets as ds
+from repro.harness.experiment import build_context
 from repro.harness.paper_numbers import DATASET_STATS
 
 
@@ -29,7 +30,9 @@ class TestSpecs:
         assert abs(g.n_edges - paper["ne"]) / paper["ne"] < 0.05
 
     def test_csr_cached(self):
-        assert ds.load_csr("facebook") is ds.load_csr("facebook")
+        """One CSR per graph: the one the context build holds."""
+        ctx = build_context(ds.load("facebook"), (1, 2), burnin=600)
+        assert ds.load_csr("facebook") is ds.load_csr("facebook") is ctx["csr"]
 
 
 class TestTargetPairs:

@@ -168,21 +168,20 @@ class TestSimulateAll:
 
     def test_matches_driver_loop(self, spark, ctx):
         """Packing units into Spark tasks changes no estimate: rows equal
-        a driver-side run_sampler loop over the same seeded units (the
-        last chunk is partial, and there are more units than cores)."""
+        the benchmark's serial replay of the same seeded units, so the
+        replay cannot drift from the harness (the last chunk is partial,
+        and there are more units than cores)."""
+        from perfbench import replay
+
         g, c = ctx
         fracs, samplers, seed = (0.02, 0.05), ["NS", "NE", "EX-RW"], 4
         got = ex.simulate_all(spark, c, fracs, n_sims=7, seed=seed, chunk=3,
                               samplers=samplers).toPandas()
         want = []
-        for s_idx, sampler in enumerate(samplers):
-            for f_idx, frac in enumerate(fracs):
-                k = max(1, int(round(frac * c["n_nodes"])))
-                for c_idx, (sim0, n) in enumerate([(0, 3), (3, 3), (6, 1)]):
-                    rng = np.random.default_rng([seed, s_idx, f_idx, c_idx])
-                    for alg, vec in ex.run_sampler(c, sampler, k, n, rng).items():
-                        want += [(alg, frac, k, sim0 + i, e)
-                                 for i, e in enumerate(vec)]
+        for t in replay.tasks(c["n_nodes"], 7, 3, fracs, samplers):
+            for alg, vec in ex.run_sampler(c, t.sampler, t.k, t.n,
+                                           replay.task_rng(seed, t)).items():
+                want += [(alg, t.frac, t.k, t.sim0 + i, e) for i, e in enumerate(vec)]
         want = pd.DataFrame(want, columns=list(got.columns))
         by = ["algorithm", "frac", "sim"]
         got = got.sort_values(by).reset_index(drop=True)

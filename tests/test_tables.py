@@ -52,6 +52,12 @@ class TestBestSelection:
         assert list(s.columns) == ["dataset", "pair", "best_algorithm", "nrmse"]
         assert len(s) == 2
 
+    def test_best_summaries_group_by_dataset(self):
+        s = T.best_summaries([_fake_table(), _fake_table("pokec", (2, 51), 6),
+                              _fake_table("googleplus", (1, 2), 5)])
+        assert [len(s[no]) for no in (23, 24, 25, 26)] == [2, 1, 0, 0]
+        assert s[23]["dataset"].tolist() == ["facebook", "googleplus"]
+
 
 class TestFormat:
     def test_format_contains_header_and_rows(self):
