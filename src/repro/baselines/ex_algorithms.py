@@ -20,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines import linegraph as lg
+from repro.core import walks
 from repro.core.estimators import reweighted_ratio
 from repro.graphs.csr import CSR
 
@@ -42,14 +43,9 @@ def walk(csr: CSR, line_deg: np.ndarray, name: str, k: int, burnin: int,
     (n_sims, k) sampled undirected edge ids."""
     beta, c = CHAINS[name]
     cap = c * float(line_deg.max())
-    arcs = lg.uniform_start_arcs(csr, n_sims, rng)
-    for _ in range(burnin):
-        arcs = lg.lg_step(csr, arcs, rng, line_deg, beta, cap)
-    out = np.empty((n_sims, k), dtype=np.int64)
-    for t in range(k):
-        arcs = lg.lg_step(csr, arcs, rng, line_deg, beta, cap)
-        out[:, t] = csr.edge_ids[arcs]
-    return out
+    return csr.edge_ids[walks.run(
+        lg.uniform_start_arcs(csr, n_sims, rng),
+        lambda a: lg.lg_step(csr, a, rng, line_deg, beta, cap), burnin, k)]
 
 
 def estimate(name: str, edge_ids: np.ndarray, line_deg: np.ndarray,

@@ -10,11 +10,12 @@ from __future__ import annotations
 import numpy as np
 
 
-def hansen_hurwitz(values: np.ndarray, probs: np.ndarray) -> np.ndarray:
+def hansen_hurwitz(values: np.ndarray, probs: np.ndarray | float) -> np.ndarray:
     """Generic HH: mean over samples of value/prob, batched over rows.
 
-    ``values``/``probs`` are (B, k). For NS-HH pass values=I(e_i),
-    probs=1/|E|; for NE-HH pass values=T(u_i)/2, probs=d(u)/2|E|.
+    ``values`` is (B, k) and ``probs`` (B, k) or a scalar. For NS-HH
+    pass values=I(e_i), probs=1/|E|; for NE-HH pass values=T(u_i)/2,
+    probs=d(u)/2|E|.
     """
     return (values / probs).mean(axis=1)
 
@@ -32,14 +33,15 @@ def first_visits(ids: np.ndarray) -> np.ndarray:
     return out
 
 
-def horvitz_thompson(values: np.ndarray, incl_probs: np.ndarray,
+def horvitz_thompson(values: np.ndarray, incl_probs: np.ndarray | float,
                      sample_ids: np.ndarray) -> np.ndarray:
     """Generic HT over a batch: sum of value/incl_prob over *distinct*
     sampled units per row.
 
     ``sample_ids`` (B, k) are unit ids; ``values``/``incl_probs`` (B, k)
     are per-draw unit attributes (repeated draws of a unit carry equal
-    values). Duplicates within a row count once, per H(e in S).
+    values; ``incl_probs`` may be one scalar). Duplicates within a row
+    count once, per H(e in S).
     """
     return np.where(first_visits(sample_ids), values / incl_probs, 0.0).sum(axis=1)
 

@@ -49,21 +49,18 @@ def sample_nodes_budgeted(csr: CSR, budget: int, burnin: int, n_sims: int,
     """Budgeted NE runs: walk up to ``budget`` steps (cost ≥ 1 per step
     bounds the useful length), then cut each run where its API spend
     hits the budget. Returns (nodes (n_sims, budget), n_steps (n_sims,))."""
-    nodes = walks.srw_runs(csr, budget, burnin, n_sims, rng)[0]
+    nodes = csr.indices[walks.srw_runs(csr, budget, burnin, n_sims, rng)]
     n_steps = budget_cutoffs(nodes, has_target, cost_per_node, budget)
     return nodes, n_steps
 
 
-def _mask(nodes: np.ndarray, n_steps: np.ndarray | None) -> np.ndarray:
-    """(B, L) bool mask of in-budget steps (all True when unbudgeted)."""
-    b, length = nodes.shape
-    if n_steps is None:
-        return np.ones((b, length), dtype=bool)
-    return np.arange(length)[None, :] < n_steps[:, None]
+def _mask(nodes: np.ndarray, n_steps: np.ndarray) -> np.ndarray:
+    """(B, L) bool mask of in-budget steps."""
+    return np.arange(nodes.shape[1])[None, :] < n_steps[:, None]
 
 
 def hh_estimate(nodes: np.ndarray, t_counts: np.ndarray, degrees: np.ndarray,
-                n_edges: int, n_steps: np.ndarray | None = None) -> np.ndarray:
+                n_edges: int, n_steps: np.ndarray) -> np.ndarray:
     """NE-HH per run (Eq. 11), averaged over each run's in-budget steps."""
     m = _mask(nodes, n_steps)
     vals = n_edges * t_counts[nodes] / degrees[nodes]
@@ -71,7 +68,7 @@ def hh_estimate(nodes: np.ndarray, t_counts: np.ndarray, degrees: np.ndarray,
 
 
 def ht_estimate(nodes: np.ndarray, t_counts: np.ndarray, degrees: np.ndarray,
-                n_edges: int, n_steps: np.ndarray | None = None) -> np.ndarray:
+                n_edges: int, n_steps: np.ndarray) -> np.ndarray:
     """NE-HT per run (Eq. 13); k in the inclusion probability is the
     run's own in-budget step count. A node's first visit inside the
     budget prefix is its first visit in the whole row, so zeroing T past
@@ -83,7 +80,7 @@ def ht_estimate(nodes: np.ndarray, t_counts: np.ndarray, degrees: np.ndarray,
 
 
 def rw_estimate(nodes: np.ndarray, t_counts: np.ndarray, degrees: np.ndarray,
-                n_nodes: int, n_steps: np.ndarray | None = None) -> np.ndarray:
+                n_nodes: int, n_steps: np.ndarray) -> np.ndarray:
     """NE-RW per run (Eq. 19) over in-budget steps."""
     m = _mask(nodes, n_steps)
     t_over_d = t_counts[nodes] / degrees[nodes] * m

@@ -23,16 +23,14 @@ from repro.graphs.csr import CSR
 def sample_edges_batch(csr: CSR, k: int, burnin: int, n_sims: int,
                        rng: np.random.Generator) -> np.ndarray:
     """(n_sims, k) undirected edge ids — one NeighborSample run per row."""
-    _, arcs = walks.srw_runs(csr, k, burnin, n_sims, rng)
-    return csr.edge_ids[arcs]
+    return csr.edge_ids[walks.srw_runs(csr, k, burnin, n_sims, rng)]
 
 
 def hh_estimate(edge_ids: np.ndarray, edge_indicator: np.ndarray,
                 n_edges: int) -> np.ndarray:
     """NS-HH per simulation row (Eq. 2)."""
     vals = edge_indicator[edge_ids].astype(np.float64)
-    probs = np.full_like(vals, 1.0 / n_edges)
-    return estimators.hansen_hurwitz(vals, probs)
+    return estimators.hansen_hurwitz(vals, 1.0 / n_edges)
 
 
 def ht_estimate(edge_ids: np.ndarray, edge_indicator: np.ndarray,
@@ -40,5 +38,4 @@ def ht_estimate(edge_ids: np.ndarray, edge_indicator: np.ndarray,
     """NS-HT per simulation row (Eq. 3)."""
     vals = edge_indicator[edge_ids].astype(np.float64)
     p = estimators.ht_inclusion_prob(np.array(1.0 / n_edges), edge_ids.shape[1])
-    incl = np.full_like(vals, float(p))
-    return estimators.horvitz_thompson(vals, incl, edge_ids)
+    return estimators.horvitz_thompson(vals, float(p), edge_ids)

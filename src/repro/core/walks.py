@@ -1,61 +1,51 @@
-"""Vectorized random-walk step kernels over CSR adjacency.
+"""The one walk loop, and the simple-random-walk step it runs.
 
-All kernels advance a *batch* of independent walkers one step with pure
-NumPy — the unit the Spark harness parallelizes is a batch of
-simulations, each batch running lock-step inside one ``mapInPandas``
-task. Kernels are deterministic in the ``numpy.random.Generator``
-passed in.
+Every sampler is one walk per simulation: burn in, then record k steps
+(paper §4.1.2, §4.2.2; the EX-* chains run the same loop on the line
+graph). ``run`` is that loop for any ``step`` that maps a batch of arcs
+to the next arcs, and it records arcs only: ``edge_ids[arcs]`` is the
+traversed edge (NeighborSample, EX-*), ``indices[arcs]`` the reached
+node (NeighborExploration). The Spark harness parallelizes batches of
+independent walkers, each batch running lock-step inside one
+``mapInPandas`` task; everything is deterministic in the
+``numpy.random.Generator`` the step draws from.
 """
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
 from repro.graphs.csr import CSR
 
 
-def uniform_starts(csr: CSR, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n start nodes drawn uniformly (the paper starts anywhere and burns
-    in to stationarity)."""
-    return rng.integers(0, csr.n, size=n)
+def run(arcs: np.ndarray, step: Callable[[np.ndarray], np.ndarray],
+        burnin: int, k: int) -> np.ndarray:
+    """``burnin`` unrecorded steps from ``arcs``, then the (B, k) arcs
+    of k recorded ones."""
+    for _ in range(burnin):
+        arcs = step(arcs)
+    out = np.empty((arcs.shape[0], k), dtype=np.int64)
+    for t in range(k):
+        arcs = step(arcs)
+        out[:, t] = arcs
+    return out
 
 
-def srw_step(csr: CSR, pos: np.ndarray, rng: np.random.Generator
-             ) -> tuple[np.ndarray, np.ndarray]:
-    """Simple-random-walk step for every walker in ``pos``.
-
-    Returns (new_pos, arcs) where arcs[i] is the arc index traversed by
-    walker i — its ``edge_ids`` entry identifies the undirected edge,
-    which is what NeighborSample samples.
-    """
-    d = csr.indptr[pos + 1] - csr.indptr[pos]
-    offs = rng.integers(0, d)
-    arcs = csr.indptr[pos] + offs
-    return csr.indices[arcs], arcs
-
-
-def srw_trajectory(csr: CSR, pos: np.ndarray, steps: int,
-                   rng: np.random.Generator
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Walk ``steps`` steps recording everything.
-
-    Returns (nodes, arcs): nodes is (B, steps) — the node reached at
-    each step; arcs is (B, steps) — the arc traversed at each step.
-    """
-    b = pos.shape[0]
-    nodes = np.empty((b, steps), dtype=np.int64)
-    arcs = np.empty((b, steps), dtype=np.int64)
-    for t in range(steps):
-        pos, a = srw_step(csr, pos, rng)
-        nodes[:, t] = pos
-        arcs[:, t] = a
-    return nodes, arcs
+def srw_step(csr: CSR, arcs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Simple-random-walk step: a uniform arc out of each arc's head."""
+    head = csr.indices[arcs]
+    return csr.indptr[head] + rng.integers(0, csr.degrees[head])
 
 
 def srw_runs(csr: CSR, k: int, burnin: int, n_sims: int,
-             rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """One NS/NE run per walker: uniform start, ``burnin`` unrecorded
-    steps, then the recorded k-step (nodes, arcs) trajectory."""
-    pos = uniform_starts(csr, n_sims, rng)
-    for _ in range(burnin):
-        pos, _ = srw_step(csr, pos, rng)
-    return srw_trajectory(csr, pos, k, rng)
+             rng: np.random.Generator) -> np.ndarray:
+    """One NS/NE run per walker: a uniform start node u, entered by the
+    reverse of u's first arc, ``burnin`` unrecorded steps, then the
+    recorded (n_sims, k) arcs. Raises ValueError on a start node with
+    no edges."""
+    starts = rng.integers(0, csr.n, size=n_sims)
+    if (isolated := starts[csr.degrees[starts] == 0]).size:
+        raise ValueError(f"walk starts on node {int(isolated[0])}, which has no edges")
+    return run(csr.rev[csr.indptr[starts]],
+               lambda a: srw_step(csr, a, rng), burnin, k)

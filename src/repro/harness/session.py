@@ -1,8 +1,9 @@
 """SparkSession builder for the spark-submit jobs.
 
-Tests use the ``spark`` fixture from conftest.py; the jobs in ``jobs/``
-run standalone under spark-submit and build an equivalent session here
-(same shuffle/Arrow/broadcast settings as the fixture).
+The jobs in ``jobs/`` run standalone under spark-submit and build their
+session here; the tests' ``spark`` fixture in conftest.py builds its
+session here too, so the shuffle/Arrow/broadcast settings are written
+once.
 """
 from __future__ import annotations
 

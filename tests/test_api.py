@@ -116,9 +116,11 @@ class TestEnginesMatchReference:
     def test_neighbor_sample(self, graph, seed):
         g, csr = graph
         api = osn_api.RestrictedGraphAPI(csr, g.labels)
-        ref = osn_api.neighbor_sample_ref(api, 30, 20, np.random.default_rng(seed))
-        eids = ns.sample_edges_batch(csr, 30, 20, 1, np.random.default_rng(seed))[0]
-        assert eids.tolist() == [int(csr.edge_ids[csr.arc_of(u, v)]) for u, v in ref]
+        for k in (1, 30):
+            for burnin in (0, 20):
+                ref = osn_api.neighbor_sample_ref(api, k, burnin, np.random.default_rng(seed))
+                eids = ns.sample_edges_batch(csr, k, burnin, 1, np.random.default_rng(seed))[0]
+                assert eids.tolist() == [int(csr.edge_ids[csr.arc_of(u, v)]) for u, v in ref]
 
     @staticmethod
     def _check_ne(g, pair, budget, burnin, seed):

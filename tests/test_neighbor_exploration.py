@@ -81,7 +81,7 @@ class TestBudgetCutoffs:
     def test_rows_cut_alone(self, setup, budget):
         """Each row of a batched cut and NE-HT equals that row alone."""
         g, csr, t, F, has, cost = setup
-        nodes = walks.srw_runs(csr, 60, 20, 30, np.random.default_rng(5))[0]
+        nodes = csr.indices[walks.srw_runs(csr, 60, 20, 30, np.random.default_rng(5))]
         cut = ne.budget_cutoffs(nodes, has, cost, budget)
         est = (t, csr.degrees, csr.n_edges)
         for row, c, h in zip(nodes, cut, ne.ht_estimate(nodes, *est, cut)):
@@ -95,12 +95,13 @@ class TestEstimators:
         nodes = np.array([[0, 1, 2]])
         d = csr.degrees
         expected = np.mean(csr.n_edges * t[[0, 1, 2]] / d[[0, 1, 2]])
-        assert ne.hh_estimate(nodes, t, d, csr.n_edges)[0] == pytest.approx(expected)
+        assert ne.hh_estimate(nodes, t, d, csr.n_edges, np.array([3]))[0] == pytest.approx(
+            expected)
 
     def test_hh_respects_mask(self, setup):
         g, csr, t, F, has, cost = setup
         nodes = np.array([[0, 1, 2, 3]])
-        full = ne.hh_estimate(nodes[:, :2], t, csr.degrees, csr.n_edges)
+        full = ne.hh_estimate(nodes[:, :2], t, csr.degrees, csr.n_edges, np.array([2]))
         masked = ne.hh_estimate(nodes, t, csr.degrees, csr.n_edges,
                                 n_steps=np.array([2]))
         assert masked[0] == pytest.approx(full[0])
@@ -114,13 +115,14 @@ class TestEstimators:
         for u in {5, 7}:
             pi = d[u] / (2 * csr.n_edges)
             expected += t[u] / (1 - (1 - pi) ** k)
-        assert ne.ht_estimate(nodes, t, d, csr.n_edges)[0] == pytest.approx(0.5 * expected)
+        assert ne.ht_estimate(nodes, t, d, csr.n_edges, np.array([k]))[0] == pytest.approx(
+            0.5 * expected)
 
     def test_ht_respects_mask(self, setup):
         g, csr, t, F, has, cost = setup
         nodes = np.array([[5, 6, 7, 8]])
         a = ne.ht_estimate(nodes, t, csr.degrees, csr.n_edges, np.array([2]))
-        b = ne.ht_estimate(nodes[:, :2], t, csr.degrees, csr.n_edges)
+        b = ne.ht_estimate(nodes[:, :2], t, csr.degrees, csr.n_edges, np.array([2]))
         assert a[0] == pytest.approx(b[0])
 
     def test_rw_by_hand(self, setup):
@@ -129,7 +131,7 @@ class TestEstimators:
         d = csr.degrees
         num = (t[0] / d[0] + t[1] / d[1])
         den = (1 / d[0] + 1 / d[1])
-        assert ne.rw_estimate(nodes, t, d, g.n)[0] == pytest.approx(
+        assert ne.rw_estimate(nodes, t, d, g.n, np.array([2]))[0] == pytest.approx(
             g.n * num / (2 * den))
 
     @pytest.mark.parametrize("est,kw", [
@@ -139,14 +141,14 @@ class TestEstimators:
     def test_nearly_unbiased(self, setup, est, kw):
         g, csr, t, F, has, cost = setup
         rng = np.random.default_rng(2)
-        nodes = walks.srw_runs(csr, 80, 120, 400, rng)[0]
+        nodes = csr.indices[walks.srw_runs(csr, 80, 120, 400, rng)]
         scale = csr.n_edges if kw["n_edges"] else g.n
-        out = est(nodes, t, csr.degrees, scale)
+        out = est(nodes, t, csr.degrees, scale, np.full(400, 80))
         assert out.mean() == pytest.approx(F, rel=0.1)
 
     def test_ht_nearly_unbiased(self, setup):
         g, csr, t, F, has, cost = setup
         rng = np.random.default_rng(3)
-        nodes = walks.srw_runs(csr, 80, 120, 400, rng)[0]
-        out = ne.ht_estimate(nodes, t, csr.degrees, csr.n_edges)
+        nodes = csr.indices[walks.srw_runs(csr, 80, 120, 400, rng)]
+        out = ne.ht_estimate(nodes, t, csr.degrees, csr.n_edges, np.full(400, 80))
         assert out.mean() == pytest.approx(F, rel=0.2)

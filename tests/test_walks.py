@@ -1,8 +1,9 @@
-"""Unit tests for the vectorized walk kernels."""
+"""Unit tests for the walk loop and the simple-random-walk kernels."""
 import numpy as np
 import pytest
 
 from repro.core import walks
+from repro.graphs.csr import build_csr
 from tests import _helpers as H
 
 
@@ -12,43 +13,51 @@ def small():
     return g, H.csr_of(g)
 
 
+class TestRun:
+    @pytest.mark.parametrize("burnin,k", [(3, 4), (0, 3), (2, 1), (0, 1)])
+    def test_burnin_then_record(self, burnin, k):
+        """With a counting step, burn-in is unrecorded and the k recorded
+        steps follow it in order."""
+        out = walks.run(np.array([0, 10]), lambda a: a + 1, burnin, k)
+        steps = np.arange(burnin + 1, burnin + k + 1)
+        assert out.tolist() == [steps.tolist(), (10 + steps).tolist()]
+
+
 class TestSRW:
     def test_step_moves_along_edges(self, small):
         g, csr = small
         rng = np.random.default_rng(0)
-        pos = walks.uniform_starts(csr, 200, rng)
-        new, arcs = walks.srw_step(csr, pos, rng)
-        assert (csr.tails[arcs] == pos).all()
-        assert (csr.indices[arcs] == new).all()
+        arcs = rng.integers(0, csr.n_arcs, size=200)
+        new = walks.srw_step(csr, arcs, rng)
+        assert (csr.tails[new] == csr.indices[arcs]).all()
 
     def test_trajectory_shapes_and_validity(self, small):
         g, csr = small
-        rng = np.random.default_rng(1)
-        pos = walks.uniform_starts(csr, 10, rng)
-        nodes, arcs = walks.srw_trajectory(csr, pos, 25, rng)
-        assert nodes.shape == (10, 25) and arcs.shape == (10, 25)
-        # consecutive nodes are adjacent (the arc connects them)
-        prev = pos
-        for t in range(25):
-            assert (csr.tails[arcs[:, t]] == prev).all()
-            assert (csr.indices[arcs[:, t]] == nodes[:, t]).all()
-            prev = nodes[:, t]
+        arcs = walks.srw_runs(csr, 25, 0, 10, np.random.default_rng(1))
+        assert arcs.shape == (10, 25)
+        # the first arc leaves the uniform start; each later arc leaves
+        # the head of the one before
+        starts = np.random.default_rng(1).integers(0, csr.n, size=10)
+        assert (csr.tails[arcs[:, 0]] == starts).all()
+        assert (csr.tails[arcs[:, 1:]] == csr.indices[arcs[:, :-1]]).all()
 
     def test_stationary_distribution(self, small):
         """Long-run visit frequency ~ d(u)/2|E|."""
         g, csr = small
         rng = np.random.default_rng(2)
-        nodes, _ = walks.srw_runs(csr, 120, 120, 600, rng)
+        nodes = csr.indices[walks.srw_runs(csr, 120, 120, 600, rng)]
         freq = np.bincount(nodes.ravel(), minlength=g.n) / nodes.size
         pi = csr.degrees / csr.degrees.sum()
         assert np.abs(freq - pi).max() < 0.01
 
     def test_deterministic_given_seed(self, small):
         _, csr = small
-        a = walks.srw_trajectory(
-            csr, walks.uniform_starts(csr, 5, np.random.default_rng(9)),
-            10, np.random.default_rng(10))
-        b = walks.srw_trajectory(
-            csr, walks.uniform_starts(csr, 5, np.random.default_rng(9)),
-            10, np.random.default_rng(10))
-        assert (a[0] == b[0]).all() and (a[1] == b[1]).all()
+        a = walks.srw_runs(csr, 10, 5, 5, np.random.default_rng(9))
+        b = walks.srw_runs(csr, 10, 5, 5, np.random.default_rng(9))
+        assert (a == b).all()
+
+    def test_isolated_start_raises(self):
+        """Node 2 has no edges: a walk cannot start there."""
+        csr = build_csr(np.array([[0, 1], [1, 3], [0, 3]]), 4)
+        with pytest.raises(ValueError, match="node 2"):
+            walks.srw_runs(csr, 3, 0, 200, np.random.default_rng(0))
