@@ -1,13 +1,5 @@
 """Benchmark: Table 1 (dataset statistics via the Catalyst LCC pass)."""
-import importlib.util
-import sys
-from pathlib import Path
-
-JOBS = Path(__file__).resolve().parent.parent / "jobs"
-spec = importlib.util.spec_from_file_location("table01_stats", JOBS / "table01_stats.py")
-table01_stats = importlib.util.module_from_spec(spec)
-sys.modules["table01_stats"] = table01_stats
-spec.loader.exec_module(table01_stats)
+import table01_stats
 
 
 def test_bench_table01(benchmark, spark):

@@ -8,37 +8,43 @@ Usage: spark-submit jobs/make_experiments_md.py [--sims N] [--out PATH]
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import sys
 from pathlib import Path
 
+import mixing_time
 import pandas as pd
+import table01_stats
+import table03_labels
+import tables18_22_bounds
 
 from repro.harness import datasets as ds
+from repro.harness import findings as F
 from repro.harness import paper_numbers as P
 from repro.harness import tables as T
+from repro.harness.experiment import ALGORITHM_ORDER
 from repro.harness.session import get_spark
 
 JOBS = Path(__file__).resolve().parent
 
 
-def _load_job(name: str):
-    spec = importlib.util.spec_from_file_location(name, JOBS / f"{name}.py")
-    mod = importlib.util.module_from_spec(spec)
-    sys.modules[name] = mod
-    spec.loader.exec_module(mod)
-    return mod
+def paper_table(no: int) -> pd.DataFrame:
+    """The paper's Table ``no`` (4-17) in a measured table's layout."""
+    paper = P.NRMSE_TABLES[no]
+    return pd.DataFrame({a: paper[a] for a in ALGORITHM_ORDER},
+                        index=list(P.SAMPLE_FRACS)).T
+
+
+def _vs(paper: str, ours: str) -> list[str]:
+    """The paper's block, then ours, as two code blocks."""
+    return ["Paper:", "```", paper, "```", "Measured:", "```", ours, "```"]
 
 
 def _nrmse_block(no: int, ours: pd.DataFrame, n_sims: int) -> str:
     paper = P.NRMSE_TABLES[no]
-    cols = [f"{f * 100:.1f}%" for f in P.SAMPLE_FRACS]
-    paper_df = pd.DataFrame(
-        {alg: paper[alg] for alg in ours.index}, index=cols
-    ).T
-    ours_disp = ours.copy()
-    ours_disp.columns = cols
-    g = ds.load(ours.attrs["dataset"])
+    paper_df, ours_disp = paper_table(no), ours.copy()
+    paper_best_alg, paper_best = T.best_at_frac(paper_df)
+    paper_df.columns = ours_disp.columns = [f"{f * 100:.1f}%" for f in P.SAMPLE_FRACS]
+    ours_best_alg, ours_best = T.best_at_frac(ours)
     lines = [
         f"### Table {no} — {ours.attrs['dataset']}, NRMSE vs sample size",
         "",
@@ -46,26 +52,94 @@ def _nrmse_block(no: int, ours: pd.DataFrame, n_sims: int) -> str:
         f"({paper['F'] / P.DATASET_STATS[paper['dataset']]['ne']:.4%} of |E|), "
         "200 sims.",
         f"Ours: target {ours.attrs['pair']}, F={ours.attrs['F']:,} "
-        f"({ours.attrs['F'] / g.n_edges:.4%} of |E|), {n_sims} sims.",
+        f"({ours.attrs['F'] / ours.attrs['n_edges']:.4%} of |E|), {n_sims} sims.",
         "",
-        "Paper:",
-        "```",
-        paper_df.round(3).to_string(),
-        "```",
-        "Measured:",
-        "```",
-        ours_disp.round(3).to_string(),
-        "```",
-    ]
-    ours_best_alg, ours_best = T.best_at_frac(ours, 0.05)
-    paper_ours = {a: paper[a][-1] for a in ours.index if not a.startswith("EX-")}
-    paper_best_alg = min(paper_ours, key=paper_ours.get)
-    lines += [
-        f"Best at 5%|V|: paper {paper_best_alg} ({paper_ours[paper_best_alg]}), "
+        *_vs(paper_df.round(3).to_string(), ours_disp.round(3).to_string()),
+        f"Best at 5%|V|: paper {paper_best_alg} ({paper_best:.3f}), "
         f"ours {ours_best_alg} ({ours_best:.3f}).",
         "",
     ]
     return "\n".join(lines)
+
+
+HEADINGS = {  # finding -> the paper's statement of it
+    "ours_best": "One of the paper's five algorithms is best (paper finding 1)",
+    "beats": "NE wins on rare labels, NS on abundant ones (paper finding 4)",
+    "falls": "NRMSE falls as the API budget grows (paper finding 3)",
+    "bound_below": "The NE-HH bound sits below the NS-HH bound on rare labels",
+}
+
+
+def _verdict(results: dict[int, F.Result]) -> str:
+    """``held on Tables 4, 5 (margin 0.210-0.930); failed on Table 10 (margin 1.4)``."""
+    parts = []
+    for held in (True, False):
+        if nos := [no for no, r in results.items() if r.held is held]:
+            lo, hi = min(results[no].margin for no in nos), max(results[no].margin for no in nos)
+            span = f"{lo:.3f}" if hi == lo else f"{lo:.3f}-{hi:.3f}"
+            parts.append(f"{'held' if held else 'failed'} on Table{'s' if len(nos) > 1 else ''} "
+                         f"{', '.join(map(str, nos))} (margin {span})")
+    return "; ".join(parts)
+
+
+def findings_md(measured: dict[int, pd.DataFrame],
+                bounds: dict[int, pd.DataFrame], n_sims: int) -> str:
+    """The Findings section, from the tables just measured (``measured``:
+    Tables 4-17, ``bounds``: Tables 18-22): each ``findings.REQUIRED``
+    finding, where it held and where it failed, with its margins."""
+    tables = {**measured, **bounds}
+    grouped: dict[str, dict[str, dict[int, F.Result]]] = {}
+    for no, claims in F.REQUIRED.items():
+        # Tables 23-26 are checked on each NRMSE table they summarize.
+        on = [tables[no]] if no in tables else [
+            t for t in measured.values() if t.attrs["dataset"] in T.BEST_TABLES.get(no, ())]
+        for c in claims:
+            rs = [c(t) for t in on]
+            grouped.setdefault(c.func.__name__, {}).setdefault(rs[0].text, {})[no] = (
+                F.Result(all(r.held for r in rs), max(r.margin for r in rs), rs[0].text))
+    rises = [f"Table {no} {F.short(a)} ({r.margin:.3f})" for no, t in measured.items()
+             for a in t.index if not (r := F.falls(t, a, F.STRICT)).held]
+    n_rows = sum(len(t) for t in measured.values())
+    out = ["## Findings: what reproduced, what deviated", "",
+           f"Computed by `repro.harness.findings` from the tables above ({n_sims} sims).",
+           "A finding compares measured values a and b: it holds when a <= slack x b",
+           "(a < b with no slack), and its margin is a / b. The benchmarks assert the",
+           "same findings on the same tables at `BENCH_SIMS`.", ""]
+    for i, (name, heading) in enumerate(HEADINGS.items(), 1):
+        out.append(f"{i}. **{heading}**")
+        out += [f"   - {text}: {_verdict(r)}." for text, r in grouped.get(name, {}).items()]
+        if name == "falls":
+            where = f"; NRMSE at 5%|V| above 0.5%|V| on {', '.join(rises)}" if rises else ""
+            out.append(f"   - Every algorithm on every table, with no slack: held on "
+                       f"{n_rows - len(rises)} of {n_rows} rows{where}.")
+    return "\n".join(out + [""] + deviations_md(measured, n_sims))
+
+
+def deviations_md(measured: dict[int, pd.DataFrame], n_sims: int) -> list[str]:
+    """Where the reproduction departs from the paper: each "ours" number
+    measured on ``measured``, each "paper" number from ``paper_numbers``."""
+    sides = {"paper": {no: paper_table(no) for no in measured}, "ours": measured}
+    gap = {s: 1 / F.beats(tabs[5], F.NS, F.NE[:1]).margin for s, tabs in sides.items()}
+    ns_wins = {s: ", ".join(str(no) for no, t in tabs.items()
+                            if F.beats(t, F.NS, F.NE).held) or "none"
+               for s, tabs in sides.items()}
+    return [
+        "Deviations (documented, understood):", "",
+        f"- **Google+ NS/NE margin**: at 5%|V| the paper's NE-HH NRMSE is {gap['paper']:.1f}x",
+        f"  its best NS NRMSE; ours is {gap['ours']:.2f}x. The paper's margin is not",
+        "  explainable by its own variance bounds (its Table 19 NE-HH bound of 1714 samples",
+        "  contradicts an NRMSE of 0.49 at 5400 samples under independence) and likely",
+        "  encodes label-topology correlation specific to the Google+ crawl.",
+        "- **Crossover location**: at 5%|V| NeighborSample beats every NeighborExploration",
+        f"  variant on the paper's tables {ns_wins['paper']} and on our tables {ns_wins['ours']}.",
+        "  Where it falls depends on the exploration-cost profile of the label sets",
+        "  (DESIGN.md §4.3).",
+        "- **Rarity tiers** preserve the paper's difficulty ladder (expected NeighborSample",
+        "  hits per run), not its raw F/|E| (DESIGN.md §4.2).",
+        f"- **Simulation count**: {n_sims} sims per cell vs the paper's 200, so a cell's",
+        f"  relative Monte-Carlo error is at least 1/sqrt(2 x {n_sims}) = "
+        f"{(2 * n_sims) ** -0.5:.0%}, more for heavy-tailed estimators.",
+    ]
 
 
 def main() -> None:
@@ -95,21 +169,22 @@ def main() -> None:
     ]
 
     # Table 1.
-    t01 = _load_job("table01_stats").table01(spark)
+    t01 = table01_stats.table01(spark)
+    scale = ", ".join(f"{r.network} {r.paper_nv / r.n_nodes:.3g}x ({r.n_edges / r.n_nodes:.3g} "
+                      f"vs {r.paper_ne / r.paper_nv:.3g})" for r in t01.itertuples())
     out += ["## Table 1 — dataset statistics", "", "```",
             t01.to_string(index=False), "```", "",
-            "Facebook is at the paper's full scale; the others are scaled",
-            "down 5-120x in |V| with |E|/|V| matched (see DESIGN.md §4.1).",
-            ""]
+            f"The paper's |V| over ours, with |E|/|V| ours vs the paper's: {scale}",
+            "(see DESIGN.md §4.1).", ""]
 
     # Mixing times (§5.1).
     if not args.skip_mixing:
-        mix = _load_job("mixing_time").mixing_table(list(ds.SPECS), eps=1e-3)
+        mix = mixing_time.mixing_table(list(ds.SPECS), eps=1e-3)
         out += ["## §5.1 — mixing times T(1e-3)", "", "```",
                 mix.to_string(index=False), "```", ""]
 
     # Table 3.
-    t03 = _load_job("table03_labels").table03()
+    t03 = table03_labels.table03()
     out += ["## Table 3 — Pokec target labels and locations", "",
             "Synthetic location names (the paper maps labels to Slovak",
             "locations; our Pokec labels are Zipf-distributed integers).",
@@ -119,30 +194,24 @@ def main() -> None:
     out += ["## Tables 4-17 — NRMSE vs sample size (API-call budget)", ""]
     measured = {}
     for no in sorted(T.NRMSE_TABLES):
-        t = T.reproduce_nrmse_table(spark, no, n_sims=args.sims, seed=args.seed)
-        measured[no] = t
+        t = measured[no] = T.reproduce_nrmse_table(spark, no, n_sims=args.sims, seed=args.seed)
         out.append(_nrmse_block(no, t, args.sims))
         print(f"[experiments-md] table {no} done", file=sys.stderr)
 
     # Tables 18-22.
-    bounds_job = _load_job("tables18_22_bounds")
     out += ["## Tables 18-22 — (0.1,0.1)-approximation sample-size bounds",
             ""]
-    for name in ds.SPECS:
-        bt = bounds_job.bounds_table(spark, name)
-        paper_rows = P.BOUND_TABLES[name]
+    bounds = {}
+    for name, no in tables18_22_bounds.TABLE_NO.items():
+        bt = bounds[no] = tables18_22_bounds.bounds_table(spark, name)
         paper_df = pd.DataFrame(
             [{"pair": k, **dict(zip(P.BOUND_COLS, v))}
-             for k, v in paper_rows.items()]
+             for k, v in P.BOUND_TABLES[name].items()]
         )
         fmt = {c: (lambda v: f"{v:.3g}") for c in P.BOUND_COLS}
-        out += [
-            f"### Table {bounds_job.TABLE_NO[name]} — {name}", "",
-            "Paper:", "```",
-            paper_df.to_string(index=False, formatters=fmt), "```",
-            "Measured:", "```",
-            bt.to_string(index=False, formatters=fmt), "```", "",
-        ]
+        out += [f"### Table {no} — {name}", "",
+                *_vs(paper_df.to_string(index=False, formatters=fmt),
+                     bt.to_string(index=False, formatters=fmt)), ""]
         print(f"[experiments-md] bounds {name} done", file=sys.stderr)
 
     # Tables 23-26.
@@ -152,68 +221,13 @@ def main() -> None:
             P.BEST_TABLES[best_no],
             columns=["dataset", "pair", "best_algorithm", "nrmse"],
         )
-        out += [f"### Table {best_no}", "", "Paper:", "```",
-                paper_df.to_string(index=False), "```",
-                "Measured:", "```", summary.to_string(index=False), "```", ""]
+        out += [f"### Table {best_no}", "", *_vs(paper_df.to_string(index=False),
+                                                 summary.to_string(index=False)), ""]
 
-    out += [FINDINGS.format(sims=args.sims, lo=0.7 * args.sims ** -0.5, hi=args.sims ** -0.5)]
+    out += [findings_md(measured, bounds, args.sims)]
     Path(args.out).write_text("\n".join(out) + "\n")
     print(f"wrote {args.out}")
     spark.stop()
-
-
-FINDINGS = """\
-## Findings: what reproduced, what deviated
-
-Reproduced (the paper's five summarized findings):
-
-1. **Best algorithm is always one of the paper's five** — in all 14
-   measured NRMSE tables the 5%|V| winner is an NS/NE variant, never an
-   EX baseline (paper finding 1).
-2. **NRMSE falls with API budget** for every algorithm in every table
-   (paper finding 3), and falls as the target frequency rises across a
-   dataset's four tiers (paper finding 5 / §5.3).
-3. **NeighborExploration dominates rare labels** — on every
-   Pokec/Orkut/LiveJournal tier, NE variants win with NRMSE ~0.1-0.26
-   while NS sits near 1 on the hardest tiers, the same ~4-5x gap ladder
-   as the paper's Tables 6-17 (paper finding 4, first half).
-4. **NeighborSample wins when target edges are abundant** — Facebook
-   (42.6% of |E|): ours NS 0.102 vs paper NS-HT 0.104, with NE-HH/HT
-   behind in both; Google+ (27.0%): NS ~0.09 beats every NE variant
-   (paper finding 4, second half). The mechanism is the API-call
-   budget: exploration charges make NE afford ~4x fewer steps when
-   every node carries a target label (DESIGN.md §4.3).
-5. **Estimator pathologies transfer**: NE-RW blows up on the gender
-   datasets (ours ~0.7-1.0 vs paper 2.3/16 — same direction, smaller
-   magnitude); EX-MDRW is erratic-to-useless on heavy-tailed datasets
-   (ours 1.8-8.5 on Orkut vs paper 2-14); EX-MHRW/EX-RW/EX-RCMH are
-   consistently mid-pack; Theorem bounds vastly exceed empirical needs.
-6. **Bounds shape (Tables 18-22)**: NE-HH bound orders of magnitude
-   below NS-HH on rare labels, NE-HT/NS-HT largest, NE-RW in between —
-   same ordering as the paper, with magnitudes scaled by our smaller
-   F/|E| (the bounds scale as |E|/F / (eps^2 delta F) etc.).
-
-Deviations (documented, understood):
-
-- **Google+ NS/NE margin**: paper reports NS beating NE-HH by ~17x; we
-  get ~1.5x. Their margin is not explainable by their own variance
-  bounds (their Table 19 NE-HH bound of 1714 samples contradicts an
-  NRMSE of 0.49 at 5400 samples under independence) and likely encodes
-  label-topology correlation specific to the Google+ crawl that no
-  synthetic generator reproduces.
-- **Crossover location**: in the paper NS starts winning on Orkut at
-  F/|E| ~ 0.1% (Table 12); in our graphs NE still wins at 4.3% and NS
-  takes over only on the ~27-43% gender datasets. The crossover exists
-  in both, but its position depends on the exploration-cost profile of
-  the label sets (their degree-0/1 Orkut labels sit on nodes whose
-  exploration is cheap but uninformative).
-- **Rarity tiers** preserve the paper's difficulty ladder (expected
-  NS hits per run ~ 1, 4, 16, 64) rather than raw F/|E| — at 40-100x
-  node downscale the paper's 1e-5 tiers would have F ~ 6 and every
-  algorithm would be stuck at NRMSE >= 1 (see DESIGN.md §4.2).
-- **Simulation count**: {sims} sims per cell here vs the paper's 200 —
-  individual cells carry ~{lo:.0%}-{hi:.0%} relative Monte-Carlo noise.
-"""
 
 
 if __name__ == "__main__":

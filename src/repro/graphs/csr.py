@@ -102,9 +102,9 @@ def edge_indicator(edges: np.ndarray, labels: np.ndarray, t1: int, t2: int) -> n
     return hit.astype(np.int64)
 
 
-def t_counts(edges: np.ndarray, labels: np.ndarray, n: int, t1: int, t2: int) -> np.ndarray:
-    """T(u) per node: number of target edges incident to u (paper §4.2)."""
-    ind = edge_indicator(edges, labels, t1, t2)
+def t_counts(edges: np.ndarray, ind: np.ndarray, n: int) -> np.ndarray:
+    """T(u) per node: number of target edges incident to u (paper §4.2),
+    from the per-edge indicator ``ind`` (``edge_indicator``)."""
     t = np.bincount(edges[:, 0], weights=ind, minlength=n)
     t += np.bincount(edges[:, 1], weights=ind, minlength=n)
     return t.astype(np.int64)

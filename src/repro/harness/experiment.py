@@ -112,7 +112,7 @@ def build_context(g: LabeledGraph, pair: tuple[int, int], burnin: int) -> dict:
         **graph,
         "has_target": has_target,
         "edge_ind": ind,
-        "t_counts": t_counts(g.edges, g.labels, g.n, pair[0], pair[1]),
+        "t_counts": t_counts(g.edges, ind, g.n),
         "n_nodes": g.n, "n_edges": g.n_edges,
         "burnin": int(burnin),
         "F": n_target,

@@ -78,7 +78,7 @@ class TestReferenceSamplers:
         sample, t_map = osn_api.neighbor_exploration_ref(
             a, 25, 10, 1, 2, np.random.default_rng(2))
         assert 1 <= len(sample) <= 25 and a.calls <= 25
-        truth = t_counts(g.edges, g.labels, g.n, 1, 2)
+        truth = t_counts(g.edges, edge_indicator(g.edges, g.labels, 1, 2), g.n)
         for u, t in t_map.items():
             assert t == truth[u], u
 

@@ -125,22 +125,22 @@ class TestTCounts:
     @pytest.mark.parametrize("t1,t2", [(1, 2), (2, 3), (1, 1)])
     def test_matches_brute_force(self, t1, t2):
         g = H.small_random(60, 6, 6)
-        t = t_counts(g.edges, g.labels, g.n, t1, t2)
+        t = t_counts(g.edges, edge_indicator(g.edges, g.labels, t1, t2), g.n)
         assert (t == H.brute_force_t(g, t1, t2)).all()
 
     def test_sum_is_twice_f(self):
         g = H.small_random(80, 6, 7)
-        f = edge_indicator(g.edges, g.labels, 1, 2).sum()
-        t = t_counts(g.edges, g.labels, g.n, 1, 2)
-        assert t.sum() == 2 * f
+        ind = edge_indicator(g.edges, g.labels, 1, 2)
+        t = t_counts(g.edges, ind, g.n)
+        assert t.sum() == 2 * ind.sum()
 
     def test_star(self):
         g = H.star(4)
-        t = t_counts(g.edges, g.labels, g.n, 1, 2)
+        t = t_counts(g.edges, edge_indicator(g.edges, g.labels, 1, 2), g.n)
         assert t[0] == 4 and (t[1:] == 1).all()
 
     def test_nonzero_only_on_target_labeled_nodes(self):
         g = H.small_random(60, 6, 8)
-        t = t_counts(g.edges, g.labels, g.n, 1, 2)
+        t = t_counts(g.edges, edge_indicator(g.edges, g.labels, 1, 2), g.n)
         has = (g.labels == 1) | (g.labels == 2)
         assert (t[~has] == 0).all()

@@ -13,8 +13,9 @@ from tests import _helpers as H
 def setup():
     g = H.small_random(80, 6, seed=9)
     csr = H.csr_of(g)
-    t = t_counts(g.edges, g.labels, g.n, 1, 2)
-    F = int(edge_indicator(g.edges, g.labels, 1, 2).sum())
+    ind = edge_indicator(g.edges, g.labels, 1, 2)
+    t = t_counts(g.edges, ind, g.n)
+    F = int(ind.sum())
     has = (g.labels == 1) | (g.labels == 2)
     cost = explore_cost(csr.degrees)
     return g, csr, t, F, has, cost
