@@ -8,7 +8,8 @@ chain's stationary distribution pi': uniform for EX-MHRW and EX-MDRW,
 ∝ deg' for EX-RW, ∝ deg'^(1-alpha) for EX-RCMH and ∝ max(deg', cap)
 for EX-GMD. All five are one lazy Metropolis–Hastings chain with two
 parameters (beta, C) — see ``linegraph.lg_step`` — so ``CHAINS`` holds
-one (beta, C / max deg') row per sampler.
+one (beta, C / max deg') row per sampler, and ``walk`` runs units of
+any of the five in one batch with per-walker (beta, C).
 
 The exact RCMH/GMD pseudocode of ICDE'15 is not available offline; the
 constructions above recover the named special cases (alpha→{0,1} ⇒
@@ -37,15 +38,22 @@ CHAINS = {
 }
 
 
-def walk(csr: CSR, line_deg: np.ndarray, name: str, k: int, burnin: int,
-         n_sims: int, rng: np.random.Generator) -> np.ndarray:
-    """Burn in, then walk k steps of ``name``'s chain; returns
-    (n_sims, k) sampled undirected edge ids."""
-    beta, c = CHAINS[name]
-    cap = c * float(line_deg.max())
-    return csr.edge_ids[walks.run(
-        lg.uniform_start_arcs(csr, n_sims, rng),
-        lambda a: lg.lg_step(csr, a, rng, line_deg, beta, cap), burnin, k)]
+def walk(csr: CSR, line_deg: np.ndarray, burnin: int,
+         units: list[tuple[str, int, int, np.random.Generator]]) -> list[np.ndarray]:
+    """Burn in, then walk k steps of each unit (name, k, n_sims, rng) on
+    ``name``'s chain, all units in one lock-step batch, longest first.
+    Returns each unit's (n_sims, k) sampled undirected edge ids."""
+    m = float(line_deg.max())
+    sizes = [n for _, _, n, _ in units]
+    beta = np.repeat([CHAINS[name][0] for name, *_ in units], sizes)
+    cap = np.repeat([CHAINS[name][1] * m for name, *_ in units], sizes)
+    arcs = walks.run(
+        [rng for *_, rng in units],
+        [lg.uniform_start_arcs(csr, n, rng) for _, _, n, rng in units],
+        [k for _, k, _, _ in units],
+        lambda a, d: lg.lg_step(csr, a, d, line_deg, beta[:a.shape[0]], cap[:a.shape[0]]),
+        burnin)
+    return [csr.edge_ids[a] for a in arcs]
 
 
 def estimate(name: str, edge_ids: np.ndarray, line_deg: np.ndarray,

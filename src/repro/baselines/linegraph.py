@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.walks import Draws
 from repro.graphs.csr import CSR
 
 
@@ -34,8 +35,7 @@ def uniform_start_arcs(csr: CSR, n: int, rng: np.random.Generator) -> np.ndarray
     return rng.integers(0, csr.n_arcs, size=n)
 
 
-def lg_uniform_neighbor(csr: CSR, arcs: np.ndarray, rng: np.random.Generator
-                        ) -> np.ndarray:
+def lg_uniform_neighbor(csr: CSR, arcs: np.ndarray, draws: Draws) -> np.ndarray:
     """One uniform-G'-neighbor proposal per walker; returns new arcs.
 
     Walkers whose current edge has deg' = 0 (an isolated edge) stay put.
@@ -47,7 +47,7 @@ def lg_uniform_neighbor(csr: CSR, arcs: np.ndarray, rng: np.random.Generator
     dt = d[t]
     dh = d[h]
     degp = dt + dh - 2
-    r = rng.integers(0, np.maximum(degp, 1))
+    r = draws.integers(np.maximum(degp, 1))
     # Branch at the tail: one of the dt-1 arcs out of t other than `arcs`.
     it = csr.indptr[t]
     na_t = it + (arcs - it + 1 + r) % dt
@@ -59,27 +59,27 @@ def lg_uniform_neighbor(csr: CSR, arcs: np.ndarray, rng: np.random.Generator
     return np.where(degp == 0, arcs, na)
 
 
-def lg_step(csr: CSR, arcs: np.ndarray, rng: np.random.Generator,
-            line_deg: np.ndarray, beta: float, cap: float) -> np.ndarray:
+def lg_step(csr: CSR, arcs: np.ndarray, draws: Draws, line_deg: np.ndarray,
+            beta: np.ndarray, cap: np.ndarray) -> np.ndarray:
     """One step of the two-parameter EX chain on G'; returns new arcs.
+    ``beta`` and ``cap`` hold one value per walker.
 
     Move with probability deg'(e)/max(deg'(e), cap) to a uniform
     G'-neighbor f, accepted iff log u < (beta-1)(log deg'(f) - log
     deg'(e)); otherwise stay. Reversible with pi'(e) ∝ max(deg'(e),
-    cap) · deg'(e)^(beta-1). The move uniform is drawn only when
-    cap > 0 and the acceptance uniform only when beta != 1 (move, then
-    proposal, then acceptance), so a chain draws nothing it does not use.
+    cap) · deg'(e)^(beta-1). A unit draws its move uniform only when
+    cap > 0 and its acceptance uniform only when beta != 1 (move, then
+    proposal, then acceptance), so a chain draws nothing it does not
+    use. A walker whose unit skips a draw reads 0.0 for it, which passes
+    that test wherever deg'(e) > 0 (and then deg'(f) > 0); where
+    deg'(e) = 0 the proposal is e itself. So it takes the proposal, as
+    it would with no test.
     """
-    if cap > 0 or beta != 1:
-        de = line_deg[csr.edge_ids[arcs]].astype(np.float64)
-    move = None
-    if cap > 0:
-        move = rng.random(arcs.shape[0]) < de / np.maximum(de, cap)
-    prop = lg_uniform_neighbor(csr, arcs, rng)
-    if beta != 1:
+    de = line_deg[csr.edge_ids[arcs]].astype(np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        move = draws.random(cap > 0) < de / np.maximum(de, cap)
+        prop = lg_uniform_neighbor(csr, arcs, draws)
         df = line_deg[csr.edge_ids[prop]].astype(np.float64)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_ratio = (beta - 1.0) * (np.log(df) - np.log(de))
-        accept = np.log(rng.random(arcs.shape[0])) < log_ratio
-        move = accept if move is None else move & accept
-    return prop if move is None else np.where(move, prop, arcs)
+        log_ratio = (beta - 1.0) * (np.log(df) - np.log(de))
+        move &= np.log(draws.random(beta != 1)) < log_ratio
+    return np.where(move, prop, arcs)

@@ -49,7 +49,7 @@ def sample_nodes_budgeted(csr: CSR, budget: int, burnin: int, n_sims: int,
     """Budgeted NE runs: walk up to ``budget`` steps (cost ≥ 1 per step
     bounds the useful length), then cut each run where its API spend
     hits the budget. Returns (nodes (n_sims, budget), n_steps (n_sims,))."""
-    nodes = csr.indices[walks.srw_runs(csr, budget, burnin, n_sims, rng)]
+    nodes = csr.indices[walks.srw_runs(csr, burnin, [(budget, n_sims, rng)])[0]]
     n_steps = budget_cutoffs(nodes, has_target, cost_per_node, budget)
     return nodes, n_steps
 

@@ -23,7 +23,7 @@ from repro.graphs.csr import CSR
 def sample_edges_batch(csr: CSR, k: int, burnin: int, n_sims: int,
                        rng: np.random.Generator) -> np.ndarray:
     """(n_sims, k) undirected edge ids — one NeighborSample run per row."""
-    return csr.edge_ids[walks.srw_runs(csr, k, burnin, n_sims, rng)]
+    return csr.edge_ids[walks.srw_runs(csr, burnin, [(k, n_sims, rng)])[0]]
 
 
 def hh_estimate(edge_ids: np.ndarray, edge_indicator: np.ndarray,

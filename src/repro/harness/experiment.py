@@ -9,10 +9,13 @@ over 200 independent simulations. This harness:
    label/T(u)/indicator arrays of one target pair are built and
    broadcast per table,
 2. packs (sampler × sample-size × simulation-chunk) units, each seeded
-   by its own indices, into about one ``mapInPandas`` task per core —
-   each unit is a lock-step NumPy batch of independent walkers, and
-   each task emits one frame of (algorithm, simulation) F-estimates,
-3. aggregates NRMSE per (algorithm, sample size) with a Spark groupBy.
+   by its own indices, into about one ``mapInPandas`` task per core;
+   each task runs its units as two lock-step NumPy batches, the node
+   walks (NS, NE) and the line-graph walks (EX-*), in which every unit
+   draws from its own Generator (``core.walks``), and emits one frame of
+   (algorithm, simulation) F-estimates,
+3. collects those rows once and computes NRMSE per (algorithm, sample
+   size) on the driver.
 
 Sampler granularity: NeighborSample yields both NS-HH and NS-HT from
 one sampled trajectory, NeighborExploration yields NE-HH/NE-HT/NE-RW,
@@ -33,9 +36,10 @@ from repro.baselines import ex_algorithms as ex
 from repro.baselines.linegraph import line_degrees
 from repro.core import neighbor_exploration as ne
 from repro.core import neighbor_sample as ns
+from repro.core import walks
+from repro.core.estimators import nrmse
 from repro.graphs.csr import build_csr, edge_indicator, t_counts
 from repro.graphs.generator import LabeledGraph
-from repro.harness.nrmse import nrmse_agg
 from repro.harness.paper_numbers import SAMPLE_FRACS
 from repro.osn.api import explore_cost
 
@@ -96,9 +100,11 @@ def build_context(g: LabeledGraph, pair: tuple[int, int], burnin: int) -> dict:
     """Every array the samplers need (driver side): the graph arrays,
     shared by every call on the same graph, and the target pair's.
 
-    Raises ValueError on a graph with an isolated node or a pair with
-    no target edge (NRMSE divides by F).
+    Raises ValueError on ``burnin < 0``, a graph with an isolated node
+    or a pair with no target edge (NRMSE divides by F).
     """
+    if burnin < 0:
+        raise ValueError(f"burnin must be >= 0, got {burnin}")
     graph = graph_arrays(g)
     ind = edge_indicator(g.edges, g.labels, pair[0], pair[1]).astype(bool)
     n_target = int(ind.sum())
@@ -119,14 +125,31 @@ def build_context(g: LabeledGraph, pair: tuple[int, int], burnin: int) -> dict:
     }
 
 
-def run_sampler(ctx: dict, sampler: str, k: int, n_sims: int,
-                rng: np.random.Generator) -> dict[str, np.ndarray]:
-    """Run one chain for a chunk of simulations; return per-algorithm
-    estimate vectors of length n_sims."""
+def run_samplers(ctx: dict, units: list[tuple[str, int, int, np.random.Generator]]
+                 ) -> list[dict[str, np.ndarray]]:
+    """Run a batch of units (sampler, k, n_sims, rng): the node walks
+    (NS, NE) as one lock-step batch and the line-graph walks (EX-*) as
+    another, each longest unit first. Returns each unit's per-algorithm
+    estimate vectors of length n_sims, in the order given. Every unit
+    draws from its own Generator exactly what it draws alone, so its
+    estimates do not depend on the batch it shares."""
+    csr, burnin = ctx["csr"], ctx["burnin"]
+    order = sorted(range(len(units)), key=lambda i: -units[i][1])
+    node = [i for i in order if units[i][0] in ("NS", "NE")]
+    line = [i for i in order if units[i][0] not in ("NS", "NE")]
+    walked = dict(zip(node, walks.srw_runs(csr, burnin, [units[i][1:] for i in node])))
+    walked.update(zip(line, ex.walk(csr, ctx["line_deg"], burnin, [units[i] for i in line])))
+    return [_estimates(ctx, sampler, k, walked[i])
+            for i, (sampler, k, _, _) in enumerate(units)]
+
+
+def _estimates(ctx: dict, sampler: str, k: int, walked: np.ndarray
+               ) -> dict[str, np.ndarray]:
+    """Per-algorithm estimates of one unit from its walk: arcs for NS
+    and NE, edge ids for EX-*."""
     csr = ctx["csr"]
-    burnin = ctx["burnin"]
     if sampler == "NS":
-        eids = ns.sample_edges_batch(csr, k, burnin, n_sims, rng)
+        eids = csr.edge_ids[walked]
         return {
             "NeighborSample-HH": ns.hh_estimate(eids, ctx["edge_ind"], ctx["n_edges"]),
             "NeighborSample-HT": ns.ht_estimate(eids, ctx["edge_ind"], ctx["n_edges"]),
@@ -134,9 +157,8 @@ def run_sampler(ctx: dict, sampler: str, k: int, n_sims: int,
     if sampler == "NE":
         # k is an API-call budget here: exploration calls are charged,
         # so NE runs fewer walk steps than NS at equal budget.
-        nodes, n_steps = ne.sample_nodes_budgeted(
-            csr, k, burnin, n_sims, ctx["has_target"], ctx["explore_cost"], rng
-        )
+        nodes = csr.indices[walked]
+        n_steps = ne.budget_cutoffs(nodes, ctx["has_target"], ctx["explore_cost"], k)
         return {
             "NeighborExploration-HH": ne.hh_estimate(
                 nodes, ctx["t_counts"], ctx["degrees"], ctx["n_edges"], n_steps),
@@ -145,9 +167,15 @@ def run_sampler(ctx: dict, sampler: str, k: int, n_sims: int,
             "NeighborExploration-RW": ne.rw_estimate(
                 nodes, ctx["t_counts"], ctx["degrees"], ctx["n_nodes"], n_steps),
         }
-    eids = ex.walk(csr, ctx["line_deg"], sampler, k, burnin, n_sims, rng)
     return {sampler: ex.estimate(
-        sampler, eids, ctx["line_deg"], ctx["edge_ind"], ctx["n_edges"])}
+        sampler, walked, ctx["line_deg"], ctx["edge_ind"], ctx["n_edges"])}
+
+
+def run_sampler(ctx: dict, sampler: str, k: int, n_sims: int,
+                rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """Run one chain for a chunk of simulations; return per-algorithm
+    estimate vectors of length n_sims (``run_samplers`` with one unit)."""
+    return run_samplers(ctx, [(sampler, k, n_sims, rng)])[0]
 
 
 def _broadcast_graph(sc: SparkContext, ctx: dict) -> Broadcast:
@@ -174,8 +202,10 @@ def simulate_all(spark: SparkSession, ctx: dict,
     """Fan the Monte Carlo out over Spark.
 
     Returns a DataFrame (algorithm, frac, k, sim, est) with one row per
-    (algorithm, simulation). Raises ValueError, before any Spark job, on
-    ``n_sims < 1``, no ``sample_fracs`` or a sampler not in SAMPLERS.
+    (algorithm, simulation). Each task runs its packed units as two
+    lock-step batches (``run_samplers``). Raises ValueError, before any
+    Spark job, on ``n_sims < 1``, ``chunk < 1``, no ``sample_fracs`` or a
+    sampler not in SAMPLERS.
     The graph arrays are broadcast once per graph and SparkContext and
     the pair arrays per call; evaluate the result before calling this on
     another graph, which destroys the previous graph's broadcast.
@@ -183,6 +213,8 @@ def simulate_all(spark: SparkSession, ctx: dict,
     samplers = samplers or SAMPLERS
     if n_sims < 1:
         raise ValueError(f"n_sims must be >= 1, got {n_sims}")
+    if chunk < 1:
+        raise ValueError(f"chunk must be >= 1, got {chunk}")
     if not sample_fracs:
         raise ValueError("sample_fracs is empty")
     if unknown := sorted(set(samplers) - set(SAMPLERS)):
@@ -212,16 +244,15 @@ def simulate_all(spark: SparkSession, ctx: dict,
         local_ctx = {**graph_bc.value, **pair_bc.value}
         for pdf in batches:
             for t in pdf["id"]:
-                frames = []
-                for sampler, frac, k, sim0, n, key in packed[t]:
-                    ests = run_sampler(local_ctx, sampler, k, n,
-                                       np.random.default_rng(key))
-                    frames += [pd.DataFrame({
-                        "algorithm": alg, "frac": frac, "k": k,
-                        "sim": np.arange(sim0, sim0 + n),
-                        "est": vec.astype(np.float64),
-                    }) for alg, vec in ests.items()]
-                yield pd.concat(frames, ignore_index=True)
+                ests = run_samplers(local_ctx, [
+                    (sampler, k, n, np.random.default_rng(key))
+                    for sampler, _, k, _, n, key in packed[t]])
+                yield pd.concat([pd.DataFrame({
+                    "algorithm": alg, "frac": frac, "k": k,
+                    "sim": np.arange(sim0, sim0 + n),
+                    "est": vec.astype(np.float64),
+                }) for (_, frac, k, sim0, n, _), est in zip(packed[t], ests)
+                    for alg, vec in est.items()], ignore_index=True)
 
     schema = "algorithm string, frac double, k long, sim long, est double"
     return spark.range(0, n_tasks, 1, n_tasks).mapInPandas(run_units, schema=schema)
@@ -232,14 +263,16 @@ def nrmse_table(spark: SparkSession, g: LabeledGraph, pair: tuple[int, int],
                 n_sims: int = 60, seed: int = 0, chunk: int = 15,
                 samplers: list[str] | None = None) -> pd.DataFrame:
     """One paper-style NRMSE table: rows = algorithms (paper order),
-    columns = sample-size fractions, values = NRMSE over n_sims."""
+    columns = sample-size fractions, values = NRMSE over n_sims. The
+    estimates are collected once and Eq. 24 is computed on the driver."""
     ctx = build_context(g, pair, burnin)
     est = simulate_all(
         spark, ctx, sample_fracs, n_sims=n_sims, seed=seed, chunk=chunk,
         samplers=samplers,
-    )
-    agg = nrmse_agg(est, float(ctx["F"]), ["algorithm", "frac"]).toPandas()
-    pivot = agg.pivot(index="algorithm", columns="frac", values="nrmse")
+    ).toPandas()
+    truth = float(ctx["F"])
+    pivot = est.groupby(["algorithm", "frac"])["est"].agg(
+        lambda e: nrmse(e.to_numpy(), truth)).unstack("frac")
     order = [a for a in ALGORITHM_ORDER if a in pivot.index]
     pivot = pivot.loc[order, sorted(pivot.columns)]
     pivot.attrs["F"] = ctx["F"]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.walks import Draws
 from repro.graphs.csr import CSR, build_csr
 from repro.graphs.generator import LabeledGraph
 
@@ -85,3 +86,8 @@ def brute_force_line_neighbors(g: LabeledGraph, eid: int) -> set[int]:
         if a in (u, v) or b in (u, v):
             out.add(j)
     return out
+
+
+def draws(rng: np.random.Generator, n: int) -> Draws:
+    """The draws of one n-walker unit, from ``rng``."""
+    return Draws([rng], [n])

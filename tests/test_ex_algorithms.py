@@ -24,7 +24,7 @@ def setup():
 
 def run(setup, name, k, burnin, n_sims, rng):
     g, csr, ld, ind, F = setup
-    ids = ex.walk(csr, ld, name, k, burnin, n_sims, rng)
+    ids = ex.walk(csr, ld, burnin, [(name, k, n_sims, rng)])[0]
     return ex.estimate(name, ids, ld, ind, csr.n_edges)
 
 
@@ -61,8 +61,10 @@ class TestBaselines:
         m = float(ld.max())
         (rc_beta, rc_c), (rw_beta, rw_c) = ex.CHAINS["EX-RCMH"], ex.CHAINS["EX-RW"]
         arcs = lg.uniform_start_arcs(csr, 200, np.random.default_rng(6))
-        a = lg.lg_step(csr, arcs, np.random.default_rng(7), ld, rc_beta, rc_c * m)
-        b = lg.lg_step(csr, arcs, np.random.default_rng(7), ld, rw_beta, rw_c * m)
+        a = lg.lg_step(csr, arcs, H.draws(np.random.default_rng(7), 200), ld,
+                       np.full(200, rc_beta), np.full(200, rc_c * m))
+        b = lg.lg_step(csr, arcs, H.draws(np.random.default_rng(7), 200), ld,
+                       np.full(200, rw_beta), np.full(200, rw_c * m))
         assert (a == b).all()
 
     def test_gmd_delta_one_is_mdrw(self, setup, monkeypatch):

@@ -58,6 +58,10 @@ class TestContext:
         with pytest.raises(ValueError, match="no edge"):
             ex.build_context(H.path4(), (1, 1), burnin=10)
 
+    def test_rejects_negative_burnin(self, ctx):
+        with pytest.raises(ValueError, match="burnin"):
+            ex.build_context(ctx[0], (1, 2), burnin=-5)
+
     def test_dtypes(self, ctx):
         g, c = ctx
         assert c["edge_ind"].dtype == bool
@@ -116,6 +120,28 @@ class TestRunSampler:
                        for a in sorted(out))
         assert hashlib.sha256(raw).hexdigest() == PINNED_ESTIMATES[sampler]
 
+    @pytest.mark.parametrize("layout", [
+        [range(0, 21, 2), range(1, 21, 2)], [range(20, -1, -1)],
+    ], ids=["two_batches", "reversed"])
+    def test_packing_invariant(self, ctx, layout):
+        """Units of every chain and length, with k = 1 among them, give
+        the same estimates run as one batch, as two batches or in
+        reversed order: each unit draws only from its own Generator."""
+        g, c = ctx
+        units = [(s, k, n) for s in ex.SAMPLERS for k, n in ((1, 2), (12, 3), (40, 5))]
+
+        def run(idx):
+            return dict(zip(idx, ex.run_samplers(c, [
+                (*units[i], np.random.default_rng([7, i])) for i in idx])))
+
+        one = run(range(len(units)))
+        other = {i: est for idx in layout for i, est in run(idx).items()}
+        assert one.keys() == other.keys()
+        for i, est in one.items():
+            assert est.keys() == other[i].keys()
+            for alg in est:
+                assert (est[alg] == other[i][alg]).all(), (units[i], alg)
+
     def test_estimates_near_truth(self, ctx):
         g, c = ctx
         out = {}
@@ -167,26 +193,29 @@ class TestSimulateAll:
         assert (pa == pb).all()
 
     def test_matches_driver_loop(self, spark, ctx):
-        """Packing units into Spark tasks changes no estimate: rows equal
-        the benchmark's serial replay of the same seeded units, so the
-        replay cannot drift from the harness (the last chunk is partial,
-        and there are more units than cores)."""
+        """Packing units into Spark tasks, and batching each task's units,
+        changes no estimate: rows equal the benchmark's serial replay of
+        the same seeded units, one at a time, so the replay cannot drift
+        from the harness. Every batch mixes chains and lengths (k = 1 at
+        the first frac), the last chunk is partial, there are more units
+        than cores, and the walks run with and without burn-in."""
         from perfbench import replay
 
-        g, c = ctx
-        fracs, samplers, seed = (0.02, 0.05), ["NS", "NE", "EX-RW"], 4
-        got = ex.simulate_all(spark, c, fracs, n_sims=7, seed=seed, chunk=3,
-                              samplers=samplers).toPandas()
-        want = []
-        for t in replay.tasks(c["n_nodes"], 7, 3, fracs, samplers):
-            for alg, vec in ex.run_sampler(c, t.sampler, t.k, t.n,
-                                           replay.task_rng(seed, t)).items():
-                want += [(alg, t.frac, t.k, t.sim0 + i, e) for i, e in enumerate(vec)]
-        want = pd.DataFrame(want, columns=list(got.columns))
-        by = ["algorithm", "frac", "sim"]
-        got = got.sort_values(by).reset_index(drop=True)
-        want = want.sort_values(by).reset_index(drop=True)
-        pd.testing.assert_frame_equal(got, want, check_exact=True)
+        fracs, seed = (0.001, 0.02, 0.05), 4
+        for burnin in (80, 0):
+            c = ex.build_context(ctx[0], (1, 2), burnin=burnin)
+            got = ex.simulate_all(spark, c, fracs, n_sims=7, seed=seed,
+                                  chunk=3).toPandas()
+            want = []
+            for t in replay.tasks(c["n_nodes"], 7, 3, fracs, ex.SAMPLERS):
+                for alg, vec in ex.run_sampler(c, t.sampler, t.k, t.n,
+                                               replay.task_rng(seed, t)).items():
+                    want += [(alg, t.frac, t.k, t.sim0 + i, e) for i, e in enumerate(vec)]
+            want = pd.DataFrame(want, columns=list(got.columns))
+            by = ["algorithm", "frac", "sim"]
+            got = got.sort_values(by).reset_index(drop=True)
+            want = want.sort_values(by).reset_index(drop=True)
+            pd.testing.assert_frame_equal(got, want, check_exact=True)
 
     @pytest.mark.parametrize("grid", [
         dict(sample_fracs=ex.DEFAULT_FRACS, n_sims=20, chunk=3),
@@ -264,7 +293,9 @@ class TestSimulateAll:
         (dict(n_sims=0), "n_sims"),
         (dict(sample_fracs=()), "sample_fracs"),
         (dict(samplers=["NS", "EX-XX"]), "EX-XX"),
-    ], ids=["no_sims", "no_fracs", "unknown_sampler"])
+        (dict(chunk=-1), "chunk"),
+        (dict(chunk=0), "chunk"),
+    ], ids=["no_sims", "no_fracs", "unknown_sampler", "negative_chunk", "zero_chunk"])
     def test_rejects_bad_input_on_driver(self, spark, ctx, bad, match):
         g, c = ctx
         # Raised by the call itself, before any Spark action.

@@ -34,12 +34,12 @@ class TestLineDegrees:
 
 
 class _FixedDraw:
-    """Generator stub whose ``integers`` always returns ``r``."""
+    """``walks.Draws`` stub whose ``integers`` always returns ``r``."""
 
     def __init__(self, r):
         self.r = r
 
-    def integers(self, low, high):
+    def integers(self, high):
         assert (self.r < high).all()
         return np.full(np.shape(high), self.r)
 
@@ -64,7 +64,7 @@ class TestUniformNeighbor:
         g, csr = small
         rng = np.random.default_rng(0)
         arcs = lg.uniform_start_arcs(csr, 300, rng)
-        new = lg.lg_uniform_neighbor(csr, arcs, rng)
+        new = lg.lg_uniform_neighbor(csr, arcs, H.draws(rng, 300))
         for a, b in zip(arcs, new):
             e1 = int(csr.edge_ids[a])
             e2 = int(csr.edge_ids[b])
@@ -82,7 +82,7 @@ class TestUniformNeighbor:
         rng = np.random.default_rng(1)
         n = 40000
         arcs = np.full(n, a0)
-        new = lg.lg_uniform_neighbor(csr, arcs, rng)
+        new = lg.lg_uniform_neighbor(csr, arcs, H.draws(rng, n))
         counts = np.bincount(csr.edge_ids[new], minlength=csr.n_edges)
         assert set(np.flatnonzero(counts)) == nbrs
         p = counts[sorted(nbrs)] / n
@@ -110,14 +110,16 @@ class TestStep:
         g, csr = small
         ld = lg.line_degrees(csr)
         beta, c = ex.CHAINS[name]
-        cap = c * float(ld.max())
+        cap = np.full(1000, c * float(ld.max()))
+        beta = np.full(1000, beta)
         rng = np.random.default_rng(2)
         arcs = lg.uniform_start_arcs(csr, 1000, rng)
+        draws = H.draws(rng, 1000)
         for _ in range(300):
-            arcs = lg.lg_step(csr, arcs, rng, ld, beta, cap)
+            arcs = lg.lg_step(csr, arcs, draws, ld, beta, cap)
         counts = np.zeros(csr.n_edges)
         for _ in range(300):
-            arcs = lg.lg_step(csr, arcs, rng, ld, beta, cap)
+            arcs = lg.lg_step(csr, arcs, draws, ld, beta, cap)
             counts += np.bincount(csr.edge_ids[arcs], minlength=csr.n_edges)
         pi = STATIONARY[name](ld.astype(float), float(ld.max()))
         assert 0.5 * np.abs(counts / counts.sum() - pi / pi.sum()).sum() < 0.025
@@ -133,12 +135,13 @@ class TestStep:
         cap = c * float(ld.max())
         arcs = lg.uniform_start_arcs(csr, 300, np.random.default_rng(3))
         got_rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
-        got = lg.lg_step(csr, arcs, got_rng, ld, beta, cap)
+        got = lg.lg_step(csr, arcs, H.draws(got_rng, 300), ld,
+                         np.full(300, beta), np.full(300, cap))
         de = ld[csr.edge_ids[arcs]].astype(float)
         move = np.ones(arcs.shape, dtype=bool)
         if cap > 0:
             move &= ref_rng.random(arcs.size) < de / np.maximum(de, cap)
-        prop = lg.lg_uniform_neighbor(csr, arcs, ref_rng)
+        prop = lg.lg_uniform_neighbor(csr, arcs, H.draws(ref_rng, 300))
         if beta != 1:
             df = ld[csr.edge_ids[prop]].astype(float)
             move &= ref_rng.random(arcs.size) < (df / de) ** (beta - 1)
@@ -152,8 +155,9 @@ class TestMHAndCapped:
         g, csr = small
         ld = lg.line_degrees(csr)
         arcs = lg.uniform_start_arcs(csr, 50, np.random.default_rng(4))
-        a = lg.lg_step(csr, arcs.copy(), np.random.default_rng(5), ld, 1.0, 0.0)
-        b = lg.lg_uniform_neighbor(csr, arcs.copy(), np.random.default_rng(5))
+        a = lg.lg_step(csr, arcs.copy(), H.draws(np.random.default_rng(5), 50), ld,
+                       np.full(50, 1.0), np.full(50, 0.0))
+        b = lg.lg_uniform_neighbor(csr, arcs.copy(), H.draws(np.random.default_rng(5), 50))
         assert (csr.edge_ids[a] == csr.edge_ids[b]).all()
 
     def test_capped_self_loops_happen(self, small):
@@ -162,5 +166,6 @@ class TestMHAndCapped:
         cap = float(ld.max())
         rng = np.random.default_rng(7)
         arcs = lg.uniform_start_arcs(csr, 200, rng)
-        new = lg.lg_step(csr, arcs, rng, ld, 1.0, cap)
+        new = lg.lg_step(csr, arcs, H.draws(rng, 200), ld, np.full(200, 1.0),
+                         np.full(200, cap))
         assert (csr.edge_ids[new] == csr.edge_ids[arcs]).any()

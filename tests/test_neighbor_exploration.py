@@ -82,7 +82,7 @@ class TestBudgetCutoffs:
     def test_rows_cut_alone(self, setup, budget):
         """Each row of a batched cut and NE-HT equals that row alone."""
         g, csr, t, F, has, cost = setup
-        nodes = csr.indices[walks.srw_runs(csr, 60, 20, 30, np.random.default_rng(5))]
+        nodes = csr.indices[walks.srw_runs(csr, 20, [(60, 30, np.random.default_rng(5))])[0]]
         cut = ne.budget_cutoffs(nodes, has, cost, budget)
         est = (t, csr.degrees, csr.n_edges)
         for row, c, h in zip(nodes, cut, ne.ht_estimate(nodes, *est, cut)):
@@ -142,7 +142,7 @@ class TestEstimators:
     def test_nearly_unbiased(self, setup, est, kw):
         g, csr, t, F, has, cost = setup
         rng = np.random.default_rng(2)
-        nodes = csr.indices[walks.srw_runs(csr, 80, 120, 400, rng)]
+        nodes = csr.indices[walks.srw_runs(csr, 120, [(80, 400, rng)])[0]]
         scale = csr.n_edges if kw["n_edges"] else g.n
         out = est(nodes, t, csr.degrees, scale, np.full(400, 80))
         assert out.mean() == pytest.approx(F, rel=0.1)
@@ -150,6 +150,6 @@ class TestEstimators:
     def test_ht_nearly_unbiased(self, setup):
         g, csr, t, F, has, cost = setup
         rng = np.random.default_rng(3)
-        nodes = csr.indices[walks.srw_runs(csr, 80, 120, 400, rng)]
+        nodes = csr.indices[walks.srw_runs(csr, 120, [(80, 400, rng)])[0]]
         out = ne.ht_estimate(nodes, t, csr.degrees, csr.n_edges, np.full(400, 80))
         assert out.mean() == pytest.approx(F, rel=0.2)
