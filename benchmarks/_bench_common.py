@@ -18,10 +18,10 @@ BENCH_SIMS = int(os.environ.get("BENCH_SIMS", "60"))
 BENCH_SEED = 7
 
 
-def assert_paper_shape(t: pd.DataFrame, frac: float = 0.05,
-                       slack: float = F.OURS_SLACK) -> None:
+def assert_paper_shape(t: pd.DataFrame) -> None:
     """Headline finding (1): at 5%|V| one of the paper's algorithms is
-    the best (allow `slack` for Monte-Carlo noise at reduced sims)."""
-    assert F.ours_best(t, slack, frac).held, (
+    the best (within ``F.OURS_SLACK`` for Monte-Carlo noise at reduced
+    sims)."""
+    assert F.ours_best(t).held, (
         f"baselines beat our algorithms on table {t.attrs.get('table_no')}"
     )

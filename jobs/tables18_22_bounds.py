@@ -10,7 +10,7 @@ import argparse
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.core.bounds import all_bounds
+from repro.core.bounds import DELTA, EPS, all_bounds
 from repro.graphs import stats
 from repro.harness import datasets as ds
 from repro.harness.paper_numbers import BOUND_COLS as COLS
@@ -22,15 +22,14 @@ TABLE_NO = {
 }
 
 
-def bounds_table(spark: SparkSession, name: str,
-                 eps: float = 0.1, delta: float = 0.1) -> pd.DataFrame:
+def bounds_table(spark: SparkSession, name: str) -> pd.DataFrame:
     """One row per target pair, one column per estimator bound."""
     g = ds.load(name)
     e = stats.edges_df(spark, g).localCheckpoint()
     l = stats.labels_df(spark, g).localCheckpoint()
     rows = []
     for pair in ds.target_pairs(name):
-        b = all_bounds(e, l, pair[0], pair[1], eps=eps, delta=delta)
+        b = all_bounds(e, l, pair[0], pair[1])
         rows.append({"pair": str(pair), "F": int(b["F"]),
                      **{c: b[c] for c in COLS}})
     return pd.DataFrame(rows)
@@ -46,7 +45,7 @@ def main() -> None:
     for name in names:
         t = bounds_table(spark, name)
         print(f"\nTable {TABLE_NO[name]}: bounds on the number of samples "
-              f"in {name} ((eps,delta)=(0.1,0.1))")
+              f"in {name} ((eps,delta)=({EPS},{DELTA}))")
         shown = t.copy()
         for c in COLS:
             shown[c] = shown[c].map(lambda v: f"{v:.3g}")

@@ -31,10 +31,12 @@ from pyspark.sql import functions as F
 
 from repro.graphs import stats
 
+# The paper's approximation target for Tables 18-22.
+EPS, DELTA = 0.1, 0.1
 
-def all_bounds(edges: DataFrame, labels: DataFrame, t1: int, t2: int,
-               eps: float = 0.1, delta: float = 0.1) -> dict[str, float]:
-    """All five Theorem-4.x bounds for one target pair.
+
+def all_bounds(edges: DataFrame, labels: DataFrame, t1: int, t2: int) -> dict[str, float]:
+    """All five Theorem-4.x bounds for one target pair, at (EPS, DELTA).
 
     Returns a dict keyed by the paper's algorithm abbreviations, plus
     the exact target-edge count ``F``. Raises ``ValueError`` when the
@@ -49,11 +51,11 @@ def all_bounds(edges: DataFrame, labels: DataFrame, t1: int, t2: int,
         raise ValueError(f"no target edges for pair ({t1},{t2})")
     n_edges, f_count = deg_sum // 2, t_sum // 2
     f2 = float(f_count) ** 2
-    e2d2 = eps * eps * delta
+    e2d2 = EPS * EPS * DELTA
 
     # 4.1 and 4.2 — closed forms in (|E|, F).
     ns_hh = (float(n_edges * f_count) - f2) / (e2d2 * f2)
-    b42 = delta * eps * eps * f2 / n_edges
+    b42 = DELTA * EPS * EPS * f2 / n_edges
     ns_ht = math.log((1.0 + b42) / b42) / math.log(1.0 / (1.0 - 1.0 / n_edges))
 
     # 4.3 — sum_u 2|E| T^2 / d; 4.5 reuses it as sum_u T^2 / pi_u.
@@ -61,7 +63,7 @@ def all_bounds(edges: DataFrame, labels: DataFrame, t1: int, t2: int,
     ne_hh = (s43 - 4.0 * f2) / (4.0 * e2d2 * f2)
 
     # 4.4 — max over nodes; pi_u = d/2|E|.
-    b44 = 4.0 * delta * eps * eps * f2 / n_nodes
+    b44 = 4.0 * DELTA * EPS * EPS * f2 / n_nodes
     ne_ht = float(
         nodes.agg(
             F.max(F.log((t * t + b44) / b44) / -F.log(1.0 - d / (2.0 * n_edges)))

@@ -88,17 +88,11 @@ def build_csr(edges: np.ndarray, n: int) -> CSR:
 
 
 def edge_indicator(edges: np.ndarray, labels: np.ndarray, t1: int, t2: int) -> np.ndarray:
-    """I(e) per undirected edge: 1 iff endpoint labels match {t1, t2}.
-
-    When t1 == t2 both endpoints must carry that label (the unordered
-    pair (t, t) matches only (t, t)).
-    """
+    """I(e) per undirected edge: 1 iff endpoint labels match {t1, t2}
+    as an unordered pair (so (t, t) matches only (t, t))."""
     lu = labels[edges[:, 0]]
     lv = labels[edges[:, 1]]
-    if t1 == t2:
-        hit = (lu == t1) & (lv == t1)
-    else:
-        hit = ((lu == t1) & (lv == t2)) | ((lu == t2) & (lv == t1))
+    hit = ((lu == t1) & (lv == t2)) | ((lu == t2) & (lv == t1))
     return hit.astype(np.int64)
 
 

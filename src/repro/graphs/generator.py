@@ -103,41 +103,44 @@ def zipf_labels(n: int, n_labels: int, alpha: float = 1.05, seed: int = 0) -> np
     return rng.choice(n_labels, size=n, p=w).astype(np.int64)
 
 
-def degree_labels(degrees: np.ndarray, log_base: float = 1.5) -> np.ndarray:
+def degree_labels(degrees: np.ndarray) -> np.ndarray:
     """Degree-derived node labels (paper's Orkut/LiveJournal scheme).
 
     The paper says "the node degree is considered as the node label",
     yet its reported labels include 0 — impossible as a raw degree in a
     connected component — so their labels are evidently degree *bucket*
-    indices. We use logarithmic buckets ``floor(log_base(d))``, which
+    indices. We use logarithmic buckets ``floor(log_1.5(d))``, which
     yields label-pair frequencies spanning several orders of magnitude
     (needed to match the paper's quartile frequencies, up to ~4% of
     |E|).
     """
     d = np.asarray(degrees, dtype=np.float64)
-    return np.floor(np.log(np.maximum(d, 1.0)) / np.log(log_base)).astype(np.int64)
+    return np.floor(np.log(np.maximum(d, 1.0)) / np.log(1.5)).astype(np.int64)
+
+
+MIN_COMMUNITY = 3  # smallest community (clique) size
 
 
 def community_sizes(n: int, n_comm: int, spread: float = 0.0,
-                    seed: int = 0, min_size: int = 3) -> np.ndarray:
-    """Community sizes summing to ``n``: equal when ``spread == 0``,
-    otherwise lognormal(sigma=spread) weights — heterogeneous community
+                    seed: int = 0) -> np.ndarray:
+    """Community sizes summing to ``n``, each at least MIN_COMMUNITY,
+    from lognormal(sigma=spread) weights — heterogeneous community
     (hence degree) distribution, which real OSNs have and which the
-    maximum-degree baselines are sensitive to."""
+    maximum-degree baselines are sensitive to. ``spread == 0`` gives
+    equal weights, so sizes differ by at most one. Raises ValueError
+    when ``n < MIN_COMMUNITY * n_comm``."""
+    if n < MIN_COMMUNITY * n_comm:
+        raise ValueError(f"n={n} < {MIN_COMMUNITY} nodes x {n_comm} communities")
     rng = np.random.default_rng(seed)
-    if spread <= 0:
-        if n % n_comm:
-            raise ValueError(f"n={n} not divisible by n_comm={n_comm}")
-        return np.full(n_comm, n // n_comm, dtype=np.int64)
     w = rng.lognormal(mean=0.0, sigma=spread, size=n_comm)
-    sizes = np.maximum(min_size, np.round(w / w.sum() * n).astype(np.int64))
+    sizes = np.maximum(MIN_COMMUNITY, np.round(w / w.sum() * n).astype(np.int64))
     # Fix rounding drift by nudging the largest/smallest communities.
     diff = int(n - sizes.sum())
     order = np.argsort(sizes)
     i = 0
     while diff != 0:
         j = order[-1 - (i % n_comm)] if diff > 0 else order[i % n_comm]
-        if diff < 0 and sizes[j] <= min_size:
+        if diff < 0 and sizes[j] <= MIN_COMMUNITY:
             i += 1
             continue
         sizes[j] += 1 if diff > 0 else -1

@@ -46,22 +46,13 @@ def target_edge_indicator(edges: DataFrame, labels: DataFrame, t1: int, t2: int)
     """(src, dst, is_target) with is_target ∈ {0,1} per paper's target-edge
     definition (unordered label pair match)."""
     le = labeled_edges(edges, labels)
-    if t1 == t2:
-        cond = (F.col("src_label") == t1) & (F.col("dst_label") == t1)
-    else:
-        cond = (
-            ((F.col("src_label") == t1) & (F.col("dst_label") == t2))
-            | ((F.col("src_label") == t2) & (F.col("dst_label") == t1))
-        )
+    cond = (
+        ((F.col("src_label") == t1) & (F.col("dst_label") == t2))
+        | ((F.col("src_label") == t2) & (F.col("dst_label") == t1))
+    )
     return le.select(
         "src", "dst", F.when(cond, 1).otherwise(0).alias("is_target")
     )
-
-
-def exact_target_count(edges: DataFrame, labels: DataFrame, t1: int, t2: int) -> int:
-    """F = exact number of target edges (ground truth for NRMSE)."""
-    ind = target_edge_indicator(edges, labels, t1, t2)
-    return int(ind.agg(F.sum("is_target").alias("f")).collect()[0]["f"])
 
 
 def node_table(edges: DataFrame, labels: DataFrame, t1: int, t2: int) -> DataFrame:

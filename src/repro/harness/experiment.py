@@ -25,6 +25,7 @@ paper's 10 table rows.
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Iterator
 
 import numpy as np
@@ -61,6 +62,9 @@ SAMPLERS = ["NS", "NE", "EX-RW", "EX-MHRW", "EX-MDRW", "EX-RCMH", "EX-GMD"]
 
 # Paper sample sizes: 0.5%|V| .. 5%|V|.
 DEFAULT_FRACS = SAMPLE_FRACS
+
+# Simulations per unit; ``perfbench.replay.tasks`` mirrors it by default.
+CHUNK = 15
 
 
 # Context keys that depend on the graph alone: computed once per graph
@@ -110,13 +114,9 @@ def build_context(g: LabeledGraph, pair: tuple[int, int], burnin: int) -> dict:
     n_target = int(ind.sum())
     if n_target == 0:
         raise ValueError(f"{g.name}: no edge carries target labels {pair}")
-    if pair[0] == pair[1]:
-        has_target = g.labels == pair[0]
-    else:
-        has_target = (g.labels == pair[0]) | (g.labels == pair[1])
     return {
         **graph,
-        "has_target": has_target,
+        "has_target": np.isin(g.labels, pair),
         "edge_ind": ind,
         "t_counts": t_counts(g.edges, ind, g.n),
         "n_nodes": g.n, "n_edges": g.n_edges,
@@ -197,36 +197,36 @@ def _broadcast_graph(sc: SparkContext, ctx: dict) -> Broadcast:
 
 def simulate_all(spark: SparkSession, ctx: dict,
                  sample_fracs: tuple[float, ...] = DEFAULT_FRACS,
-                 n_sims: int = 60, seed: int = 0, chunk: int = 15,
-                 samplers: list[str] | None = None) -> DataFrame:
-    """Fan the Monte Carlo out over Spark.
+                 n_sims: int = 60, seed: int = 0) -> DataFrame:
+    """Fan the Monte Carlo out over Spark: every chain in SAMPLERS, at
+    every sample size, in units of at most CHUNK simulations.
 
     Returns a DataFrame (algorithm, frac, k, sim, est) with one row per
     (algorithm, simulation). Each task runs its packed units as two
     lock-step batches (``run_samplers``). Raises ValueError, before any
-    Spark job, on ``n_sims < 1``, ``chunk < 1``, no ``sample_fracs`` or a
-    sampler not in SAMPLERS.
+    Spark job, on ``n_sims < 1``, no ``sample_fracs``, or a fraction that
+    is not finite, not positive or repeated (a repeat would pool two
+    seeds' simulations into one cell).
     The graph arrays are broadcast once per graph and SparkContext and
     the pair arrays per call; evaluate the result before calling this on
     another graph, which destroys the previous graph's broadcast.
     """
-    samplers = samplers or SAMPLERS
     if n_sims < 1:
         raise ValueError(f"n_sims must be >= 1, got {n_sims}")
-    if chunk < 1:
-        raise ValueError(f"chunk must be >= 1, got {chunk}")
     if not sample_fracs:
         raise ValueError("sample_fracs is empty")
-    if unknown := sorted(set(samplers) - set(SAMPLERS)):
-        raise ValueError(f"unknown sampler(s) {unknown}; known: {SAMPLERS}")
+    if not all(math.isfinite(f) and f > 0 for f in sample_fracs):
+        raise ValueError(f"sample_fracs must be finite and > 0, got {sample_fracs}")
+    if len(set(sample_fracs)) < len(sample_fracs):
+        raise ValueError(f"sample_fracs has a repeated fraction: {sample_fracs}")
     # Each unit is seeded by its own indices, so packing changes no estimate.
     units = []
-    for s_idx, sampler in enumerate(samplers):
+    for s_idx, sampler in enumerate(SAMPLERS):
         for f_idx, frac in enumerate(sample_fracs):
             k = max(1, int(round(frac * ctx["n_nodes"])))
-            for c_idx, sim0 in enumerate(range(0, n_sims, chunk)):
+            for c_idx, sim0 in enumerate(range(0, n_sims, CHUNK)):
                 units.append((sampler, float(frac), k, sim0,
-                              min(chunk, n_sims - sim0),
+                              min(CHUNK, n_sims - sim0),
                               [seed, s_idx, f_idx, c_idx]))
     # Longest walker-steps first onto the least-loaded of ~one task per core.
     n_tasks = min(spark.sparkContext.defaultParallelism, len(units))
@@ -260,21 +260,16 @@ def simulate_all(spark: SparkSession, ctx: dict,
 
 def nrmse_table(spark: SparkSession, g: LabeledGraph, pair: tuple[int, int],
                 burnin: int, sample_fracs: tuple[float, ...] = DEFAULT_FRACS,
-                n_sims: int = 60, seed: int = 0, chunk: int = 15,
-                samplers: list[str] | None = None) -> pd.DataFrame:
+                n_sims: int = 60, seed: int = 0) -> pd.DataFrame:
     """One paper-style NRMSE table: rows = algorithms (paper order),
     columns = sample-size fractions, values = NRMSE over n_sims. The
     estimates are collected once and Eq. 24 is computed on the driver."""
     ctx = build_context(g, pair, burnin)
-    est = simulate_all(
-        spark, ctx, sample_fracs, n_sims=n_sims, seed=seed, chunk=chunk,
-        samplers=samplers,
-    ).toPandas()
+    est = simulate_all(spark, ctx, sample_fracs, n_sims=n_sims, seed=seed).toPandas()
     truth = float(ctx["F"])
     pivot = est.groupby(["algorithm", "frac"])["est"].agg(
         lambda e: nrmse(e.to_numpy(), truth)).unstack("frac")
-    order = [a for a in ALGORITHM_ORDER if a in pivot.index]
-    pivot = pivot.loc[order, sorted(pivot.columns)]
+    pivot = pivot.loc[ALGORITHM_ORDER, sorted(pivot.columns)]
     pivot.attrs["F"] = ctx["F"]
     pivot.attrs["n_edges"] = ctx["n_edges"]
     pivot.attrs["n_nodes"] = ctx["n_nodes"]

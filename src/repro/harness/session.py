@@ -7,8 +7,6 @@ once.
 """
 from __future__ import annotations
 
-import os
-
 from pyspark.sql import SparkSession
 
 
@@ -17,10 +15,7 @@ def get_spark(app_name: str = "repro") -> SparkSession:
     disabled so label joins exercise the shuffle path)."""
     return (
         SparkSession.builder.appName(app_name)
-        .config(
-            "spark.sql.shuffle.partitions",
-            os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"),
-        )
+        .config("spark.sql.shuffle.partitions", "64")
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .config("spark.ui.enabled", "false")

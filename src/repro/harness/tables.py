@@ -11,6 +11,7 @@ from pyspark.sql import SparkSession
 
 from repro.harness import datasets
 from repro.harness.experiment import DEFAULT_FRACS, nrmse_table
+from repro.harness.findings import FULL
 
 # paper table number -> (dataset, index into target_pairs(dataset))
 NRMSE_TABLES: dict[int, tuple[str, int]] = {
@@ -33,8 +34,7 @@ BEST_TABLES: dict[int, tuple[str, ...]] = {
 
 def reproduce_nrmse_table(spark: SparkSession, table_no: int,
                           n_sims: int = 60, seed: int = 0,
-                          sample_fracs: tuple[float, ...] = DEFAULT_FRACS,
-                          samplers: list[str] | None = None) -> pd.DataFrame:
+                          sample_fracs: tuple[float, ...] = DEFAULT_FRACS) -> pd.DataFrame:
     """Reproduce one of Tables 4–17."""
     name, pair_idx = NRMSE_TABLES[table_no]
     spec = datasets.SPECS[name]
@@ -42,41 +42,41 @@ def reproduce_nrmse_table(spark: SparkSession, table_no: int,
     pair = datasets.target_pairs(name)[pair_idx]
     t = nrmse_table(
         spark, g, pair, burnin=spec.burnin, sample_fracs=sample_fracs,
-        n_sims=n_sims, seed=seed + table_no, samplers=samplers,
+        n_sims=n_sims, seed=seed + table_no,
     )
     t.attrs.update(dataset=name, pair=pair, table_no=table_no)
     return t
 
 
-def best_at_frac(table: pd.DataFrame, frac: float = 0.05) -> tuple[str, float]:
-    """(best algorithm, NRMSE) at one sample-size column — the Tables
-    23–26 quantity. Only the paper's own 5 algorithms compete there."""
+def best_at_frac(table: pd.DataFrame) -> tuple[str, float]:
+    """(best algorithm, NRMSE) at the 5%|V| column — the Tables 23–26
+    quantity. Only the paper's own 5 algorithms compete there."""
     ours = [a for a in table.index if not a.startswith("EX-")]
-    col = table.loc[ours, frac]
+    col = table.loc[ours, FULL]
     return str(col.idxmin()), float(col.min())
 
 
-def best_summary(tables: list[pd.DataFrame], frac: float = 0.05) -> pd.DataFrame:
+def best_summary(tables: list[pd.DataFrame]) -> pd.DataFrame:
     """Tables 23–26 layout: one row per (dataset, pair)."""
     rows = []
     for t in tables:
-        alg, v = best_at_frac(t, frac)
+        alg, v = best_at_frac(t)
         rows.append({"dataset": t.attrs.get("dataset", "?"),
                      "pair": str(t.attrs.get("pair", "?")),
                      "best_algorithm": alg, "nrmse": round(v, 3)})
     return pd.DataFrame(rows)
 
 
-def best_summaries(tables: list[pd.DataFrame], frac: float = 0.05
-                   ) -> dict[int, pd.DataFrame]:
+def best_summaries(tables: list[pd.DataFrame]) -> dict[int, pd.DataFrame]:
     """Tables 23–26: each one's ``best_summary`` over the tables on its
     datasets."""
-    return {no: best_summary([t for t in tables if t.attrs["dataset"] in names], frac)
+    return {no: best_summary([t for t in tables if t.attrs["dataset"] in names])
             for no, names in BEST_TABLES.items()}
 
 
-def format_table(table: pd.DataFrame, decimals: int = 3) -> str:
-    """Render a table in the paper's visual layout (markdown)."""
+def format_table(table: pd.DataFrame) -> str:
+    """Render a table in the paper's visual layout (markdown), to 3
+    decimals as the paper prints it."""
     shown = table.copy()
     shown.columns = [f"{c * 100:.1f}%|V|" for c in shown.columns]
     header = ""
@@ -87,4 +87,4 @@ def format_table(table: pd.DataFrame, decimals: int = 3) -> str:
             f"F={table.attrs.get('F')}, |E|={table.attrs.get('n_edges')}, "
             f"F/|E|={table.attrs.get('F', 0) / max(table.attrs.get('n_edges', 1), 1):.5%}\n"
         )
-    return header + shown.round(decimals).to_string()
+    return header + shown.round(3).to_string()

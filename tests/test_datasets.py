@@ -3,6 +3,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from pyspark.sql import functions as F
 
 from repro.graphs import stats
 from repro.harness import datasets as ds
@@ -77,7 +78,8 @@ class TestExactFAgainstSpark:
         pair = ds.target_pairs(name)[pi]
         e = stats.edges_df(spark, g)
         l = stats.labels_df(spark, g)
-        assert ds.exact_f(name, pair) == stats.exact_target_count(e, l, *pair)
+        ind = stats.target_edge_indicator(e, l, *pair)
+        assert ds.exact_f(name, pair) == ind.agg(F.sum("is_target")).collect()[0][0]
 
 
 class TestPokecLocations:

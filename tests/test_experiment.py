@@ -6,6 +6,7 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
+from repro.core.estimators import nrmse
 from repro.graphs.generator import LabeledGraph
 from repro.harness import experiment as ex
 from repro.harness.nrmse import nrmse_agg
@@ -156,22 +157,16 @@ class TestSimulateAll:
     def test_row_counts(self, spark, ctx):
         g, c = ctx
         est = ex.simulate_all(
-            spark, c, sample_fracs=(0.02, 0.05), n_sims=6, seed=0, chunk=3,
-            samplers=["NS", "NE"],
+            spark, c, sample_fracs=(0.02, 0.05), n_sims=6, seed=0,
         ).toPandas()
-        # NS yields 2 algorithms, NE yields 3 -> 5 algs * 2 fracs * 6 sims
-        assert len(est) == 5 * 2 * 6
-        assert set(est["algorithm"]) == {
-            a for a in ex.ALGORITHM_ORDER if not a.startswith("EX-")
-        }
+        # 7 chains yield the 10 algorithms -> 10 algs * 2 fracs * 6 sims
+        assert len(est) == 10 * 2 * 6
+        assert set(est["algorithm"]) == set(ex.ALGORITHM_ORDER)
         assert est["est"].notna().all()
 
     def test_nrmse_agg_matches_numpy(self, spark, ctx):
         g, c = ctx
-        est = ex.simulate_all(
-            spark, c, sample_fracs=(0.05,), n_sims=8, seed=1, chunk=4,
-            samplers=["NS"],
-        )
+        est = ex.simulate_all(spark, c, sample_fracs=(0.05,), n_sims=8, seed=1)
         agg = nrmse_agg(est, float(c["F"]), ["algorithm"]).toPandas()
         pdf = est.toPandas()
         for r in agg.itertuples():
@@ -180,34 +175,22 @@ class TestSimulateAll:
             assert r.nrmse == pytest.approx(expected)
             assert r.n_sims == 8
 
-    def test_chunking_invariant(self, spark, ctx):
-        """One chunk layout run twice gives the same estimates. Seeding
-        is per chunk index, so different chunk sizes draw differently."""
-        g, c = ctx
-        a = ex.simulate_all(spark, c, (0.05,), n_sims=12, seed=2, chunk=12,
-                            samplers=["NS"]).toPandas()
-        b = ex.simulate_all(spark, c, (0.05,), n_sims=12, seed=2, chunk=12,
-                            samplers=["NS"]).toPandas()
-        pa = a.sort_values(["algorithm", "sim"])["est"].to_numpy()
-        pb = b.sort_values(["algorithm", "sim"])["est"].to_numpy()
-        assert (pa == pb).all()
-
     def test_matches_driver_loop(self, spark, ctx):
         """Packing units into Spark tasks, and batching each task's units,
         changes no estimate: rows equal the benchmark's serial replay of
         the same seeded units, one at a time, so the replay cannot drift
         from the harness. Every batch mixes chains and lengths (k = 1 at
-        the first frac), the last chunk is partial, there are more units
-        than cores, and the walks run with and without burn-in."""
+        the first frac), each cell is two units of which the last is
+        partial, there are more units than cores, and the walks run with
+        and without burn-in."""
         from perfbench import replay
 
-        fracs, seed = (0.001, 0.02, 0.05), 4
+        fracs, seed, n_sims = (0.001, 0.02, 0.05), 4, ex.CHUNK + 2
         for burnin in (80, 0):
             c = ex.build_context(ctx[0], (1, 2), burnin=burnin)
-            got = ex.simulate_all(spark, c, fracs, n_sims=7, seed=seed,
-                                  chunk=3).toPandas()
+            got = ex.simulate_all(spark, c, fracs, n_sims=n_sims, seed=seed).toPandas()
             want = []
-            for t in replay.tasks(c["n_nodes"], 7, 3, fracs, ex.SAMPLERS):
+            for t in replay.tasks(c["n_nodes"], n_sims, ex.CHUNK, fracs):
                 for alg, vec in ex.run_sampler(c, t.sampler, t.k, t.n,
                                                replay.task_rng(seed, t)).items():
                     want += [(alg, t.frac, t.k, t.sim0 + i, e) for i, e in enumerate(vec)]
@@ -218,8 +201,8 @@ class TestSimulateAll:
             pd.testing.assert_frame_equal(got, want, check_exact=True)
 
     @pytest.mark.parametrize("grid", [
-        dict(sample_fracs=ex.DEFAULT_FRACS, n_sims=20, chunk=3),
-        dict(sample_fracs=(0.05,), n_sims=2, chunk=3, samplers=["NS"]),
+        dict(sample_fracs=ex.DEFAULT_FRACS, n_sims=3 * ex.CHUNK),
+        dict(sample_fracs=(0.05,), n_sims=2),
     ], ids=["large_grid", "single_unit"])
     def test_at_most_one_task_per_core(self, spark, ctx, grid):
         g, c = ctx
@@ -229,8 +212,7 @@ class TestSimulateAll:
 
     @staticmethod
     def _rows(spark, c):
-        est = ex.simulate_all(spark, c, (0.05,), n_sims=4, seed=5, chunk=2,
-                              samplers=["NS", "EX-RW"]).toPandas()
+        est = ex.simulate_all(spark, c, (0.05,), n_sims=4, seed=5).toPandas()
         return est.sort_values(["algorithm", "sim"]).reset_index(drop=True)
 
     @staticmethod
@@ -292,10 +274,13 @@ class TestSimulateAll:
     @pytest.mark.parametrize("bad, match", [
         (dict(n_sims=0), "n_sims"),
         (dict(sample_fracs=()), "sample_fracs"),
-        (dict(samplers=["NS", "EX-XX"]), "EX-XX"),
-        (dict(chunk=-1), "chunk"),
-        (dict(chunk=0), "chunk"),
-    ], ids=["no_sims", "no_fracs", "unknown_sampler", "negative_chunk", "zero_chunk"])
+        (dict(sample_fracs=(0.01, float("nan"))), "finite"),
+        (dict(sample_fracs=(0.01, float("inf"))), "finite"),
+        (dict(sample_fracs=(0.0, 0.05)), "> 0"),
+        (dict(sample_fracs=(-0.01, 0.05)), "> 0"),
+        (dict(sample_fracs=(0.05, 0.01, 0.05)), "repeated"),
+    ], ids=["no_sims", "no_fracs", "nan_frac", "inf_frac", "zero_frac",
+            "negative_frac", "repeated_frac"])
     def test_rejects_bad_input_on_driver(self, spark, ctx, bad, match):
         g, c = ctx
         # Raised by the call itself, before any Spark action.
@@ -308,9 +293,44 @@ class TestNRMSETable:
         g, c = ctx
         t = ex.nrmse_table(
             spark, g, (1, 2), burnin=40, sample_fracs=(0.02, 0.05),
-            n_sims=6, seed=3, chunk=3,
+            n_sims=6, seed=3,
         )
         assert list(t.columns) == [0.02, 0.05]
         assert list(t.index) == ex.ALGORITHM_ORDER
         assert t.attrs["F"] == c["F"]
         assert (t.to_numpy() >= 0).all()
+
+    def test_cells_are_eq24_of_simulate_all(self, spark, ctx):
+        """Each cell is ``estimators.nrmse`` (Eq. 24) over that cell's
+        rows of ``simulate_all`` on the same context and seed; the
+        budgets are passed out of order and come back sorted."""
+        g, _ = ctx
+        fracs = (0.05, 0.001, 0.02)
+        t = ex.nrmse_table(spark, g, (1, 2), burnin=40, sample_fracs=fracs,
+                           n_sims=ex.CHUNK + 2, seed=3)
+        c = ex.build_context(g, (1, 2), burnin=40)
+        est = ex.simulate_all(spark, c, fracs, n_sims=ex.CHUNK + 2, seed=3).toPandas()
+        assert list(t.columns) == sorted(fracs)
+        for alg in ex.ALGORITHM_ORDER:
+            for frac in fracs:
+                rows = est[(est["algorithm"] == alg) & (est["frac"] == frac)]
+                assert len(rows) == ex.CHUNK + 2
+                want = nrmse(rows["est"].to_numpy(), float(c["F"]))
+                assert t.loc[alg, frac] == pytest.approx(want, rel=1e-12), (alg, frac)
+
+
+class TestBenchmarkProbes:
+    def test_spark_free_probes_run(self, ctx):
+        """The benchmark's serial kernel and estimator probes run on the
+        harness's public functions and context keys: a signature change
+        there would otherwise surface only in a traced benchmark run."""
+        from perfbench import layers, replay
+        from perfbench.trace import Tracer
+
+        g, c = ctx
+        tracer, seed = Tracer(enabled=False), 11
+        tasks = replay.tasks(c["n_nodes"], ex.CHUNK)
+        metrics, rows = layers.kernels(tracer, c, tasks, seed)
+        metrics.update(layers.estimators(tracer, c, c["csr"], tasks, seed))
+        assert rows == len(ex.ALGORITHM_ORDER) * len(ex.DEFAULT_FRACS) * ex.CHUNK == 1500
+        assert all(np.isfinite(v) for v in metrics.values()), metrics

@@ -41,16 +41,15 @@ def bounds_table(ne, ns) -> pd.DataFrame:
 
 
 class TestEachFindingAtItsSlack:
-    @pytest.mark.parametrize("slack", [F.OURS_SLACK, 1.0])
-    def test_ours_best(self, slack):
+    def test_ours_best(self):
         t = table()
         t.loc["EX-RW", HI] = 0.4
-        t.loc[NE_HT, HI] = 0.4 * slack * (1 - EPS)
-        inside = F.ours_best(t, slack)
-        t.loc[NE_HT, HI] = 0.4 * slack * (1 + EPS)
-        outside = F.ours_best(t, slack)
+        t.loc[NE_HT, HI] = 0.4 * F.OURS_SLACK * (1 - EPS)
+        inside = F.ours_best(t)
+        t.loc[NE_HT, HI] = 0.4 * F.OURS_SLACK * (1 + EPS)
+        outside = F.ours_best(t)
         assert inside.held and not outside.held
-        assert math.isclose(outside.margin, slack, rel_tol=1e-6)
+        assert math.isclose(outside.margin, F.OURS_SLACK, rel_tol=1e-6)
 
     def test_beats_at_ns_slack(self):
         t = table()
@@ -130,7 +129,7 @@ class TestAssertPaperShape:
 # module, as written there: (paper table, finding, keywords, old check).
 _NE_HT_RW = (NE_HH, NE_HT, NE_RW)
 OLD_ASSERTIONS = [
-    *[(no, "ours_best", {"slack": 1.35}, _old_paper_shape) for no in range(4, 18)],
+    *[(no, "ours_best", {}, _old_paper_shape) for no in range(4, 18)],
     *[(no, "falls", {"row": NS_HH, "slack": 1.25},
        lambda t: t.loc[NS_HH, t.columns.max()] <= t.loc[NS_HH, t.columns.min()] * 1.25)
       for no in (4, 5)],

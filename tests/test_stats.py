@@ -40,7 +40,8 @@ class TestTargetCount:
     @pytest.mark.parametrize("t1,t2", [(1, 2), (2, 3), (1, 1), (1, 3)])
     def test_matches_brute_force(self, spark, g, dfs, t1, t2):
         e, l = dfs
-        assert stats.exact_target_count(e, l, t1, t2) == H.brute_force_f(g, t1, t2)
+        ind = stats.target_edge_indicator(e, l, t1, t2)
+        assert ind.agg(F.sum("is_target")).collect()[0][0] == H.brute_force_f(g, t1, t2)
 
     def test_oracle_cross_pair(self, spark, g, dfs):
         e, l = dfs
