@@ -67,13 +67,12 @@ def lg_step(csr: CSR, arcs: np.ndarray, draws: Draws, line_deg: np.ndarray,
     Move with probability deg'(e)/max(deg'(e), cap) to a uniform
     G'-neighbor f, accepted iff log u < (beta-1)(log deg'(f) - log
     deg'(e)); otherwise stay. Reversible with pi'(e) ∝ max(deg'(e),
-    cap) · deg'(e)^(beta-1). A unit draws its move uniform only when
-    cap > 0 and its acceptance uniform only when beta != 1 (move, then
-    proposal, then acceptance), so a chain draws nothing it does not
-    use. A walker whose unit skips a draw reads 0.0 for it, which passes
-    that test wherever deg'(e) > 0 (and then deg'(f) > 0); where
-    deg'(e) = 0 the proposal is e itself. So it takes the proposal, as
-    it would with no test.
+    cap) · deg'(e)^(beta-1). Every step makes three draw calls, in
+    order: the move uniform, read where cap > 0; the proposal; and the
+    acceptance uniform, read where beta != 1. A walker that does not
+    read a uniform gets 0.0 for it, which passes that test wherever
+    deg'(e) > 0 (and then deg'(f) > 0); where deg'(e) = 0 the proposal
+    is e itself. So it takes the proposal, as it would with no test.
     """
     de = line_deg[csr.edge_ids[arcs]].astype(np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -1,22 +1,24 @@
-"""The one walk loop, and the simple-random-walk step it runs.
+"""The one walk loop, its counter-based draws, and the simple-random-walk
+step it runs.
 
 Every sampler is one walk per simulation: burn in, then record k steps
 (paper §4.1.2, §4.2.2; the EX-* chains run the same loop on the line
 graph). ``run`` is that loop for a lock-step batch of *units*: each unit
 is a group of independent walkers with its own start arcs, its own
-length k and its own ``numpy.random.Generator``. The units are laid out
-one after another, longest first, so the walkers still recording are
-always a prefix of the batch: the non-random arithmetic of a step runs
-once over that prefix, and every draw is made per unit, from the unit's
-own Generator, on the unit's slice (``Draws``). A unit therefore draws
-exactly what it draws alone, in the same order, whatever batch it
-shares. ``run`` records arcs only: ``edge_ids[arcs]`` is the traversed
-edge (NeighborSample, EX-*), ``indices[arcs]`` the reached node
-(NeighborExploration).
+length k and its own ``numpy.random.Generator``. A unit's Generator
+draws its walkers' starts and then one 64-bit key per walker, and is
+never read again. Every later draw is counter-based (``uniforms``): call
+c of the batch gives walker w the SplitMix64 finalizer of key_w + c·γ,
+hashed as NumPy vector expressions for the whole batch (``Draws``). The
+counter advances once per call whether or not a walker uses the value,
+so a walker draws the same values whatever batch it shares. The units
+are laid out one after another, longest first, so the walkers still
+recording are always a prefix of the batch. ``run`` records arcs only:
+``edge_ids[arcs]`` is the traversed edge (NeighborSample, EX-*),
+``indices[arcs]`` the reached node (NeighborExploration).
 """
 from __future__ import annotations
 
-from itertools import takewhile
 from typing import Callable
 
 import numpy as np
@@ -24,53 +26,77 @@ import numpy as np
 from repro.graphs.csr import CSR
 
 
+# SplitMix64 (Steele, Lea and Flood, OOPSLA 2014): the Weyl increment γ
+# and the two multipliers of its finalizer.
+GAMMA = np.uint64(0x9E3779B97F4A7C15)
+MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+MIX2 = np.uint64(0x94D049BB133111EB)
+# Draw calls hashed at once: the hash is a few NumPy ufuncs, whose fixed
+# cost per call exceeds their cost per walker at a batch's width.
+BLOCK = 64
+
+
+def draw_keys(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n walker keys, the last draw a walker takes from ``rng``."""
+    return rng.integers(0, 2**63, size=n).astype(np.uint64)
+
+
+def uniforms(keys: np.ndarray, calls: np.ndarray) -> np.ndarray:
+    """Draws ``calls`` of the walkers keyed by ``keys``, one row per
+    call: the SplitMix64 finalizer of key + c·γ (mod 2⁶⁴), its top 53
+    bits as u in [0, 1)."""
+    z = keys + np.asarray(calls, dtype=np.uint64)[:, None] * GAMMA
+    z ^= z >> np.uint64(30)
+    z *= MIX1
+    z ^= z >> np.uint64(27)
+    z *= MIX2
+    z ^= z >> np.uint64(31)
+    return (z >> np.uint64(11)) * 2.0**-53
+
+
 class Draws:
-    """The random draws of a batch of units. Unit i owns the walkers
-    ``[start_i, stop_i)`` of the batch and draws from its own Generator
-    on that slice only. Each method draws for the units that lie in the
-    prefix it is given."""
+    """The counter-based draws of a batch of walkers: call c gives each
+    walker of the prefix it is asked for its row of ``uniforms(keys,
+    [c])``, and advances ``calls`` for the whole batch. Rows are hashed
+    BLOCK calls at a time."""
 
-    def __init__(self, rngs: list[np.random.Generator], sizes: list[int]):
-        stops = np.cumsum(sizes, dtype=np.int64).tolist()
-        self.units = list(zip(rngs, [0, *stops[:-1]], stops))
+    def __init__(self, keys: np.ndarray):
+        self.keys = keys
+        self.calls = 0
 
-    def _within(self, p: int):
-        return takewhile(lambda u: u[1] < p, self.units)
+    def _next(self, n: int) -> np.ndarray:
+        i = self.calls % BLOCK
+        if i == 0:
+            self._block = uniforms(self.keys, np.arange(self.calls, self.calls + BLOCK))
+        self.calls += 1
+        return self._block[i, :n]
 
     def integers(self, high: np.ndarray) -> np.ndarray:
-        """``Generator.integers(0, high)``, per unit on its slice."""
-        out = np.empty(high.shape, dtype=np.int64)
-        for rng, a, b in self._within(high.shape[0]):
-            out[a:b] = rng.integers(0, high[a:b])
-        return out
+        """⌊u·high⌋ per walker, clamped below ``high`` (bias ≤ high/2⁵³
+        against an exactly uniform integer)."""
+        return np.minimum((self._next(high.shape[0]) * high).astype(np.int64), high - 1)
 
     def random(self, drawing: np.ndarray) -> np.ndarray:
-        """``Generator.random`` per unit whose walkers are ``drawing``
-        (one flag per walker, equal within a unit), and 0.0 for the
-        walkers of every other unit, which draw nothing."""
-        out = np.zeros(drawing.shape[0])
-        for rng, a, b in self._within(drawing.shape[0]):
-            if drawing[a]:
-                out[a:b] = rng.random(b - a)
-        return out
+        """u for the walkers that are ``drawing``, 0.0 for the others."""
+        return np.where(drawing, self._next(drawing.shape[0]), 0.0)
 
 
 def run(rngs: list[np.random.Generator], starts: list[np.ndarray],
         ks: list[int], step: Callable[[np.ndarray, Draws], np.ndarray],
         burnin: int) -> list[np.ndarray]:
     """Walk a batch of units in lock step: unit i starts from the arcs
-    ``starts[i]``, draws from ``rngs[i]`` and records ``ks[i]`` steps.
-    ``step(arcs, draws)`` maps the arcs of a prefix of the batch to
-    their next arcs. Every unit takes ``burnin`` unrecorded steps, then
-    records until its k is reached. Returns each unit's (n_i, k_i)
+    ``starts[i]``, keys its walkers from ``rngs[i]`` and records
+    ``ks[i]`` steps. ``step(arcs, draws)`` maps the arcs of a prefix of
+    the batch to their next arcs. Every unit takes ``burnin`` unrecorded
+    steps, then records until its k is reached. Returns each unit's (n_i, k_i)
     recorded arcs. Raises ValueError unless ``ks`` is non-increasing
     (longest unit first)."""
     if any(a < b for a, b in zip(ks, ks[1:])):
         raise ValueError(f"units must come longest first, got k = {ks}")
     if not starts:
         return []
-    draws = Draws(rngs, [s.shape[0] for s in starts])
-    stops = [b for _, _, b in draws.units]
+    draws = Draws(np.concatenate([draw_keys(rng, s.shape[0]) for rng, s in zip(rngs, starts)]))
+    stops = np.cumsum([s.shape[0] for s in starts]).tolist()
     arcs = np.concatenate(starts)
     for _ in range(burnin):
         arcs = step(arcs, draws)
@@ -80,7 +106,7 @@ def run(rngs: list[np.random.Generator], starts: list[np.ndarray],
         while ks[active - 1] <= t:
             active -= 1
         arcs = step(arcs[:stops[active - 1]], draws)
-        for out, (_, a, b) in zip(outs[:active], draws.units):
+        for out, a, b in zip(outs[:active], [0, *stops], stops):
             out[:, t] = arcs[a:b]
     return outs
 

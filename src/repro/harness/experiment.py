@@ -11,11 +11,11 @@ over 200 independent simulations. This harness:
 2. packs (sampler × sample-size × simulation-chunk) units, each seeded
    by its own indices, into about one ``mapInPandas`` task per core;
    each task runs its units as two lock-step NumPy batches, the node
-   walks (NS, NE) and the line-graph walks (EX-*), in which every unit
-   draws from its own Generator (``core.walks``), and emits one frame of
-   (algorithm, simulation) F-estimates,
-3. collects those rows once and computes NRMSE per (algorithm, sample
-   size) on the driver.
+   walks (NS, NE) and the line-graph walks (EX-*), on counter-based
+   draws keyed per walker from the unit's Generator (``core.walks``),
+   and emits one frame of (algorithm, simulation) F-estimates,
+3. collects those rows once and computes NRMSE, and its delta-method
+   standard error, per (algorithm, sample size) on the driver.
 
 Sampler granularity: NeighborSample yields both NS-HH and NS-HT from
 one sampled trajectory, NeighborExploration yields NE-HH/NE-HT/NE-RW,
@@ -130,9 +130,10 @@ def run_samplers(ctx: dict, units: list[tuple[str, int, int, np.random.Generator
     """Run a batch of units (sampler, k, n_sims, rng): the node walks
     (NS, NE) as one lock-step batch and the line-graph walks (EX-*) as
     another, each longest unit first. Returns each unit's per-algorithm
-    estimate vectors of length n_sims, in the order given. Every unit
-    draws from its own Generator exactly what it draws alone, so its
-    estimates do not depend on the batch it shares."""
+    estimate vectors of length n_sims, in the order given. Every walker
+    draws from its own key and the batch's call counter exactly what it
+    draws alone, so a unit's estimates do not depend on the batch it
+    shares."""
     csr, burnin = ctx["csr"], ctx["burnin"]
     order = sorted(range(len(units)), key=lambda i: -units[i][1])
     node = [i for i in order if units[i][0] in ("NS", "NE")]
@@ -263,13 +264,19 @@ def nrmse_table(spark: SparkSession, g: LabeledGraph, pair: tuple[int, int],
                 n_sims: int = 60, seed: int = 0) -> pd.DataFrame:
     """One paper-style NRMSE table: rows = algorithms (paper order),
     columns = sample-size fractions, values = NRMSE over n_sims. The
-    estimates are collected once and Eq. 24 is computed on the driver."""
+    estimates are collected once and Eq. 24 is computed on the driver.
+    ``attrs["se"]`` holds each cell's delta-method standard error,
+    sd((F̂−F)²) / (2√n · NRMSE · F²), from the same n estimates (sd
+    with n − 1 degrees of freedom)."""
     ctx = build_context(g, pair, burnin)
     est = simulate_all(spark, ctx, sample_fracs, n_sims=n_sims, seed=seed).toPandas()
     truth = float(ctx["F"])
     pivot = est.groupby(["algorithm", "frac"])["est"].agg(
         lambda e: nrmse(e.to_numpy(), truth)).unstack("frac")
     pivot = pivot.loc[ALGORITHM_ORDER, sorted(pivot.columns)]
+    sq = ((est["est"] - truth) ** 2).groupby([est["algorithm"], est["frac"]])
+    sd = (sq.std() / np.sqrt(sq.count())).unstack("frac").loc[pivot.index, pivot.columns]
+    pivot.attrs["se"] = sd / (2 * pivot * truth ** 2)
     pivot.attrs["F"] = ctx["F"]
     pivot.attrs["n_edges"] = ctx["n_edges"]
     pivot.attrs["n_nodes"] = ctx["n_nodes"]

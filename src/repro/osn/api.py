@@ -7,12 +7,15 @@ list it needs; the reached node's own label and degree come free; and
 exploring a node (labelling all its neighbors) costs ``explore_cost(d)``
 profile-batch calls. Sequential reference implementations of
 Algorithms 1 and 2, written directly against the API, are what the
-vectorized engines in ``repro.core`` are tested against.
+vectorized engines in ``repro.core`` are tested against. They draw
+through the engines' counter-based ``walks.Draws`` on a one-walker key,
+so on the same seed they walk the engines' trajectory.
 """
 from __future__ import annotations
 
 import numpy as np
 
+from repro.core import walks
 from repro.graphs.csr import CSR
 
 EXPLORE_BATCH = 10
@@ -72,29 +75,36 @@ class RestrictedGraphAPI:
 
 
 def simple_random_walk(api: RestrictedGraphAPI, start: int, steps: int,
-                       rng: np.random.Generator) -> list[int]:
-    """SRW node trajectory of length steps+1 starting at ``start``."""
+                       draws: walks.Draws) -> list[int]:
+    """SRW node trajectory of length steps+1 starting at ``start``, one
+    ``draws`` call per step (``draws`` holds one walker)."""
     path = [int(start)]
     u = int(start)
     for _ in range(steps):
         nbrs = api.neighbors(u)
-        u = int(nbrs[rng.integers(0, nbrs.size)])
+        u = int(nbrs[draws.integers(np.array([nbrs.size]))[0]])
         path.append(u)
     return path
 
 
-def _burn_in(api: RestrictedGraphAPI, burnin: int, rng: np.random.Generator) -> int:
-    """Node reached ``burnin`` steps from a uniform start, uncharged."""
-    u = simple_random_walk(api, int(rng.integers(0, api.n_nodes)), burnin, rng)[-1]
+def _burn_in(api: RestrictedGraphAPI, burnin: int, rng: np.random.Generator
+             ) -> tuple[int, walks.Draws]:
+    """Node reached ``burnin`` steps from a uniform start, uncharged, and
+    the walker's draws to go on with. Like the engines' walkers, it
+    takes its start and then its key from ``rng``."""
+    start = int(rng.integers(0, api.n_nodes))
+    draws = walks.Draws(walks.draw_keys(rng, 1))
+    u = simple_random_walk(api, start, burnin, draws)[-1]
     api.reset_counters()
-    return u
+    return u, draws
 
 
 def neighbor_sample_ref(api: RestrictedGraphAPI, k: int, burnin: int,
                         rng: np.random.Generator) -> list[tuple[int, int]]:
     """Algorithm 1 (single-walk implementation, §4.1.2): burn in, then
     walk k further steps (k calls) and return the k traversed edges."""
-    tail = simple_random_walk(api, _burn_in(api, burnin, rng), k, rng)
+    u, draws = _burn_in(api, burnin, rng)
+    tail = simple_random_walk(api, u, k, draws)
     return [(tail[i], tail[i + 1]) for i in range(k)]
 
 
@@ -107,12 +117,12 @@ def neighbor_exploration_ref(api: RestrictedGraphAPI, budget: int, burnin: int,
     ``explore`` returns. The walk stops before the step whose calls
     would exceed ``budget``; the first step is always taken. Returns
     (sampled nodes, T mapping)."""
-    u = _burn_in(api, burnin, rng)
+    u, draws = _burn_in(api, burnin, rng)
     sample: list[int] = []
     t_map: dict[int, int] = {}
     while not sample or api.calls < budget:
         nbrs = api.neighbors(u)
-        u = int(nbrs[rng.integers(0, nbrs.size)])
+        u = int(nbrs[draws.integers(np.array([nbrs.size]))[0]])
         lu = api.label(u)
         if lu in (t1, t2) and u not in t_map:
             if sample and api.calls + explore_cost(api.degree(u)) > budget:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.walks import Draws
+from repro.core.walks import Draws, draw_keys
 from repro.graphs.csr import CSR, build_csr
 from repro.graphs.generator import LabeledGraph
 
@@ -89,5 +89,5 @@ def brute_force_line_neighbors(g: LabeledGraph, eid: int) -> set[int]:
 
 
 def draws(rng: np.random.Generator, n: int) -> Draws:
-    """The draws of one n-walker unit, from ``rng``."""
-    return Draws([rng], [n])
+    """The counter-based draws of n walkers keyed from ``rng``."""
+    return Draws(draw_keys(rng, n))

@@ -5,6 +5,7 @@ import pytest
 from repro.core import neighbor_exploration as ne
 from repro.core import neighbor_sample as ns
 from repro.graphs.csr import edge_indicator, t_counts
+from repro.graphs.generator import LabeledGraph
 from repro.harness import datasets as ds
 from repro.harness import experiment
 from repro.osn import api as osn_api
@@ -56,7 +57,7 @@ class TestAPI:
 class TestReferenceSamplers:
     def test_srw_path_valid(self, api):
         g, csr, a = api
-        path = osn_api.simple_random_walk(a, 0, 30, np.random.default_rng(0))
+        path = osn_api.simple_random_walk(a, 0, 30, H.draws(np.random.default_rng(0), 1))
         assert len(path) == 31
         for u, v in zip(path, path[1:]):
             assert v in csr.neighbors(u)
@@ -121,6 +122,28 @@ class TestEnginesMatchReference:
                 ref = osn_api.neighbor_sample_ref(api, k, burnin, np.random.default_rng(seed))
                 eids = ns.sample_edges_batch(csr, k, burnin, 1, np.random.default_rng(seed))[0]
                 assert eids.tolist() == [int(csr.edge_ids[csr.arc_of(u, v)]) for u, v in ref]
+
+    @pytest.mark.parametrize("all_target", [False, True], ids=["pair", "all_target"])
+    def test_neighbor_sample_estimates(self, graph, all_target):
+        """NS-HH and NS-HT (Eqs. 2 and 3) from the engine equal the same
+        equations on the reference's sample. With every node carrying
+        the target label, every edge is a target edge, so NS-HH is |E|."""
+        g, csr = graph
+        pair = (1, 2)
+        if all_target:
+            g, pair = LabeledGraph(g.n, g.edges, np.ones(g.n, dtype=np.int64)), (1, 1)
+        ctx = experiment.build_context(g, pair, 20)
+        ind, m, k = ctx["edge_ind"], g.n_edges, 30
+        for seed in range(5):
+            api = osn_api.RestrictedGraphAPI(csr, g.labels)
+            ref = osn_api.neighbor_sample_ref(api, k, 20, np.random.default_rng(seed))
+            eids = [int(csr.edge_ids[csr.arc_of(u, v)]) for u, v in ref]
+            got = experiment.run_sampler(ctx, "NS", k, 1, np.random.default_rng(seed))
+            hh = m * np.mean(ind[eids])
+            assert [got["NeighborSample-HH"][0], got["NeighborSample-HT"][0]] == pytest.approx(
+                [hh, ind[list(set(eids))].sum() / (1 - (1 - 1 / m) ** k)], rel=1e-12, abs=0)
+            if all_target:
+                assert hh == m
 
     @staticmethod
     def _check_ne(g, pair, budget, burnin, seed):

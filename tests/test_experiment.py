@@ -22,13 +22,13 @@ def ctx():
 # sha256 of run_sampler(ctx, sampler, k=40, n_sims=6) on the ``ctx``
 # fixture, estimates in sorted algorithm order as float64 bytes.
 PINNED_ESTIMATES = {
-    "NS": "6b9949bfd526b56cf2032e028b3f9389ab766a2efb12dac0eb450c28b69de477",
-    "NE": "c4d1afe5c5cfe206d217e01573e777d7543dc885eafe787849cdc187cef13638",
-    "EX-RW": "3134e96c73b9811f44d2a3cde99bd5f1e1596f710292a76366fbd28e16ab712e",
-    "EX-MHRW": "a2ce067836375f2bfdb15d47fb4227cc2929b4f3e92d305e1426759b6761e7cf",
-    "EX-MDRW": "080f3b83541d8ce14c8b6c68ae24e9aad98004676a976544eda9866993cf99f8",
-    "EX-RCMH": "a81d52ac1338c0dee44fc2f4a64bf30c01812ede5d738947c6b4f616367b8914",
-    "EX-GMD": "8a98945157c1993ce1d6eaf68f1de170a7dde4651411afcb87a5cccff6e6ae87",
+    "NS": "b51eeb12b62f8e1e7fc8c4b68391ac2943169cf88c4ab959af20333753c91ad4",
+    "NE": "b5300c9fbe46b20b8b75540c054e22de71690fdbe13b89cc472ab7672315e961",
+    "EX-RW": "2811e8ffb38b9f868d2607a9cd4708db74e6d8c076b566612228cca34dd031b2",
+    "EX-MHRW": "a6a2102a1dae603e47654beaf5e325eeeb6477f99c758ea20b37e16190c6045d",
+    "EX-MDRW": "adf61b8e900b72b9aa7e02077ea0a4e62742209f4b92ccfd65535527a20b4d17",
+    "EX-RCMH": "077cbb30d3252414c731641eea8133b1ab19001f340e0387aca9562cb3336607",
+    "EX-GMD": "bbaa24b73bca1a316f8536d4f860c5884b00e8b58a722a67571d6965a28e2005",
 }
 
 
@@ -317,6 +317,26 @@ class TestNRMSETable:
                 assert len(rows) == ex.CHUNK + 2
                 want = nrmse(rows["est"].to_numpy(), float(c["F"]))
                 assert t.loc[alg, frac] == pytest.approx(want, rel=1e-12), (alg, frac)
+
+
+    def test_se_is_delta_method(self, spark, ctx):
+        """``attrs["se"]`` is, per cell, sd((F̂−F)²) / (2√n · NRMSE · F²)
+        over that cell's rows of ``simulate_all``."""
+        g, _ = ctx
+        fracs = (0.02, 0.05)
+        t = ex.nrmse_table(spark, g, (1, 2), burnin=40, sample_fracs=fracs,
+                           n_sims=9, seed=5)
+        c = ex.build_context(g, (1, 2), burnin=40)
+        est = ex.simulate_all(spark, c, fracs, n_sims=9, seed=5).toPandas()
+        F = float(c["F"])
+        assert list(t.attrs["se"].index) == ex.ALGORITHM_ORDER
+        assert list(t.attrs["se"].columns) == list(fracs)
+        for alg in ex.ALGORITHM_ORDER:
+            for frac in fracs:
+                sq = (est[(est["algorithm"] == alg) & (est["frac"] == frac)]["est"]
+                      .to_numpy() - F) ** 2
+                want = np.std(sq, ddof=1) / (2 * np.sqrt(sq.size) * t.loc[alg, frac] * F ** 2)
+                assert t.attrs["se"].loc[alg, frac] == pytest.approx(want, rel=1e-12)
 
 
 class TestBenchmarkProbes:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.baselines import ex_algorithms as ex
 from repro.baselines import linegraph as lg
+from repro.core import walks
 from tests import _helpers as H
 
 
@@ -126,27 +127,30 @@ class TestStep:
 
     @pytest.mark.parametrize("name", list(ex.CHAINS))
     def test_draws_only_what_it_uses(self, small, name):
-        """One step equals its explicit composition: a move uniform iff
-        C > 0, the proposal, then an acceptance uniform iff beta != 1 —
-        and leaves the generator exactly where that composition does."""
+        """One step makes exactly three draw calls, and equals its
+        explicit composition over those calls' uniforms u0, u1, u2: a
+        move test on u0 iff C > 0, the proposal ⌊u1·deg'⌋, then an
+        acceptance test on u2 iff beta != 1."""
         g, csr = small
         ld = lg.line_degrees(csr)
         beta, c = ex.CHAINS[name]
         cap = c * float(ld.max())
         arcs = lg.uniform_start_arcs(csr, 300, np.random.default_rng(3))
-        got_rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
-        got = lg.lg_step(csr, arcs, H.draws(got_rng, 300), ld,
-                         np.full(300, beta), np.full(300, cap))
+        draws = H.draws(np.random.default_rng(4), 300)
+        got = lg.lg_step(csr, arcs, draws, ld, np.full(300, beta), np.full(300, cap))
+        assert draws.calls == 3
+        u0, u1, u2 = walks.uniforms(draws.keys, np.arange(3))
         de = ld[csr.edge_ids[arcs]].astype(float)
         move = np.ones(arcs.shape, dtype=bool)
         if cap > 0:
-            move &= ref_rng.random(arcs.size) < de / np.maximum(de, cap)
-        prop = lg.lg_uniform_neighbor(csr, arcs, H.draws(ref_rng, 300))
+            move &= u0 < de / np.maximum(de, cap)
+        prop = np.array([lg.lg_uniform_neighbor(
+            csr, arcs[i:i + 1], _FixedDraw(int(u1[i] * max(de[i], 1))))[0]
+            for i in range(arcs.size)])
         if beta != 1:
             df = ld[csr.edge_ids[prop]].astype(float)
-            move &= ref_rng.random(arcs.size) < (df / de) ** (beta - 1)
+            move &= u2 < (df / de) ** (beta - 1)
         assert (got == np.where(move, prop, arcs)).all()
-        assert got_rng.random() == ref_rng.random()
 
 
 class TestMHAndCapped:
@@ -157,7 +161,10 @@ class TestMHAndCapped:
         arcs = lg.uniform_start_arcs(csr, 50, np.random.default_rng(4))
         a = lg.lg_step(csr, arcs.copy(), H.draws(np.random.default_rng(5), 50), ld,
                        np.full(50, 1.0), np.full(50, 0.0))
-        b = lg.lg_uniform_neighbor(csr, arcs.copy(), H.draws(np.random.default_rng(5), 50))
+        # lg_step's proposal is its second draw call, after the move uniform.
+        draws = H.draws(np.random.default_rng(5), 50)
+        draws.random(np.zeros(50, dtype=bool))
+        b = lg.lg_uniform_neighbor(csr, arcs.copy(), draws)
         assert (csr.edge_ids[a] == csr.edge_ids[b]).all()
 
     def test_capped_self_loops_happen(self, small):

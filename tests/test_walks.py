@@ -1,4 +1,5 @@
-"""Unit tests for the walk loop and the simple-random-walk kernels."""
+"""Unit tests for the walk loop, its counter-based draws and the
+simple-random-walk kernels."""
 import numpy as np
 import pytest
 
@@ -23,7 +24,8 @@ class TestRun:
         burn-in; then only the units still recording do, as a prefix."""
         starts = [np.array([0, 10]) + 100 * i for i in range(len(ks))]
         widths = []
-        outs = walks.run([None] * len(ks), starts, ks,
+        rngs = [np.random.default_rng(i) for i in range(len(ks))]
+        outs = walks.run(rngs, starts, ks,
                          lambda a, d: widths.append(a.size) or a + 1, burnin)
         for s, k, out in zip(starts, ks, outs):
             steps = np.arange(burnin + 1, burnin + k + 1)
@@ -35,6 +37,73 @@ class TestRun:
         with pytest.raises(ValueError, match="longest"):
             walks.run([None, None], [np.array([0]), np.array([1])], [1, 2],
                       lambda a, d: a, 0)
+
+
+def chi2_z(counts: np.ndarray) -> float:
+    """Wilson–Hilferty normal score of the chi-square statistic of
+    ``counts`` against equal cell probabilities."""
+    df = counts.size - 1
+    expected = counts.sum() / counts.size
+    chi2 = ((counts - expected) ** 2 / expected).sum()
+    return ((chi2 / df) ** (1 / 3) - (1 - 2 / (9 * df))) / np.sqrt(2 / (9 * df))
+
+
+class TestDraws:
+    @pytest.fixture()
+    def keys(self):
+        return walks.draw_keys(np.random.default_rng(11), 1000)
+
+    def test_largest_uniform_stays_in_range(self, keys, monkeypatch):
+        """At u = 1 - 2⁻⁵³, the largest value ``uniforms`` can give,
+        ``integers`` stays below ``high`` and ``random`` below 1."""
+        top = (np.uint64(2**64 - 1) >> np.uint64(11)) * 2.0**-53
+        assert top == 1 - 2**-53
+        monkeypatch.setattr(walks, "uniforms",
+                            lambda k, calls: np.full((len(calls), k.size), top))
+        high = np.array([1, 2, 3, 7, 1708, 2**31 - 1, 2**40 + 1, 2**52 + 1] * 125)
+        draws = walks.Draws(keys)
+        assert ((draws.integers(high) == high - 1)).all()
+        assert (draws.random(np.ones(keys.size, dtype=bool)) < 1).all()
+
+    # 1708 is the largest node degree of the Orkut dataset, and 3414 the
+    # largest line-graph degree there.
+    @pytest.mark.parametrize("high", [1, 2, 3, 10, 97, 1708, 3414])
+    def test_integers_uniform(self, keys, high):
+        """Over 300 calls of 1000 walkers, every value in [0, high)
+        comes up as often as a uniform draw's would (chi-square)."""
+        draws = walks.Draws(keys)
+        highs = np.full(keys.size, high)
+        got = np.concatenate([draws.integers(highs) for _ in range(300)])
+        assert got.min() >= 0 and got.max() < high
+        if high > 1:
+            assert abs(chi2_z(np.bincount(got, minlength=high))) < 4.5
+
+    def test_random_in_unit_interval(self, keys):
+        draws = walks.Draws(keys)
+        drawing = np.arange(keys.size) % 3 > 0
+        got = np.stack([draws.random(drawing) for _ in range(200)])
+        assert (got[:, ~drawing] == 0).all()
+        u = got[:, drawing]
+        assert u.min() > 0 and u.max() < 1
+        assert abs(chi2_z(np.bincount((u * 50).astype(int).ravel(), minlength=50))) < 4.5
+
+    def test_walker_draws_do_not_depend_on_batch(self, keys):
+        """A walker draws the same values alone as inside a 300-walker
+        batch whose prefix shrinks past it, over several hash blocks."""
+        batch = walks.Draws(keys[:300])
+        alone = {j: walks.Draws(keys[j:j + 1]) for j in (0, 17, 150, 299)}
+        for c in range(3 * walks.BLOCK + 5):
+            width = 300 - c
+            if c % 2:
+                got = batch.integers(np.full(width, 1000))
+                own = {j: d.integers(np.array([1000]))[0] for j, d in alone.items()}
+            else:
+                got = batch.random(np.ones(width, dtype=bool))
+                own = {j: d.random(np.ones(1, dtype=bool))[0] for j, d in alone.items()}
+            for j, v in own.items():
+                if j < width:
+                    assert got[j] == v, (c, j)
+        assert batch.calls == alone[0].calls == 3 * walks.BLOCK + 5
 
 
 class TestSRW:
