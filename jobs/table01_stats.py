@@ -23,12 +23,12 @@ def table01(spark: SparkSession) -> pd.DataFrame:
         g = ds.load(name)
         e = stats.edges_df(spark, g).localCheckpoint()
         keep = lcc.largest_component_nodes(spark, e).toPandas()["node"].to_numpy()
-        new_edges, _ = lcc.restrict_to_lcc(g.edges, keep)
         rows.append(
             {
                 "network": name,
                 "n_nodes": len(keep),
-                "n_edges": len(new_edges),
+                # Every edge lies inside one component.
+                "n_edges": int(g.degrees[keep].sum() // 2),
                 "paper_nv": DATASET_STATS[name]["nv"],
                 "paper_ne": DATASET_STATS[name]["ne"],
             }

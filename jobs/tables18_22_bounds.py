@@ -10,7 +10,7 @@ import argparse
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.core.bounds import DELTA, EPS, all_bounds
+from repro.core.bounds import DELTA, EPS, bounds_by_pair
 from repro.graphs import stats
 from repro.harness import datasets as ds
 from repro.harness.paper_numbers import BOUND_COLS as COLS
@@ -27,12 +27,11 @@ def bounds_table(spark: SparkSession, name: str) -> pd.DataFrame:
     g = ds.load(name)
     e = stats.edges_df(spark, g).localCheckpoint()
     l = stats.labels_df(spark, g).localCheckpoint()
-    rows = []
-    for pair in ds.target_pairs(name):
-        b = all_bounds(e, l, pair[0], pair[1])
-        rows.append({"pair": str(pair), "F": int(b["F"]),
-                     **{c: b[c] for c in COLS}})
-    return pd.DataFrame(rows)
+    pairs = ds.target_pairs(name)
+    return pd.DataFrame([
+        {"pair": str(pair), "F": int(b["F"]), **{c: b[c] for c in COLS}}
+        for pair, b in zip(pairs, bounds_by_pair(e, l, pairs))
+    ])
 
 
 def main() -> None:

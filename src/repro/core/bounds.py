@@ -3,9 +3,9 @@
 Tables 18–22 of the paper list, for each dataset and target pair, the
 number of samples each estimator needs to guarantee an
 (eps, delta) = (0.1, 0.1) approximation. The bounds are closed-form
-aggregates over the full graph. All five are read from one node table
-(node, d(u), T(u)) built by ``stats.node_table`` (oracle-checked in
-tests), in two Spark aggregations:
+aggregates over the full graph. Every pair's five are read from one
+node table (node, d(u), T(u) for each pair) built by ``stats.node_table``
+(oracle-checked in tests), in two Spark aggregations:
 
 - 4.1 NS-HH:  k >= (sum_e |E| I(e) - F^2) / (eps^2 F^2 delta)
               = (|E| F - F^2) / (eps^2 F^2 delta)
@@ -36,52 +36,68 @@ EPS, DELTA = 0.1, 0.1
 
 
 def all_bounds(edges: DataFrame, labels: DataFrame, t1: int, t2: int) -> dict[str, float]:
-    """All five Theorem-4.x bounds for one target pair, at (EPS, DELTA).
+    """All five Theorem-4.x bounds for one target pair: the one-pair
+    case of ``bounds_by_pair``."""
+    return bounds_by_pair(edges, labels, [(t1, t2)])[0]
 
-    Returns a dict keyed by the paper's algorithm abbreviations, plus
-    the exact target-edge count ``F``. Raises ``ValueError`` when the
-    pair has no target edge.
+
+def bounds_by_pair(edges: DataFrame, labels: DataFrame,
+                   pairs: list[tuple[int, int]]) -> list[dict[str, float]]:
+    """All five Theorem-4.x bounds for each target pair, at (EPS, DELTA).
+
+    Returns one dict per pair, in order, keyed by the paper's algorithm
+    abbreviations, plus the exact target-edge count ``F``. One node
+    table with a T column per pair is checkpointed once; one aggregation
+    reads every sum and one every Theorem 4.4 maximum. Raises
+    ``ValueError`` naming the first pair with no target edge.
     """
-    nodes = stats.node_table(edges, labels, t1, t2).localCheckpoint()
-    t, d = F.col("t_count"), F.col("degree")
-    n_nodes, deg_sum, t_sum, s_t2_d, s_inv_d = nodes.agg(
-        F.count("*"), F.sum(d), F.sum(t), F.sum(t * t / d), F.sum(1.0 / d)
+    nodes = stats.node_table(edges, labels, pairs).localCheckpoint()
+    d = F.col("degree")
+    ts = [F.col(f"t_{i}") for i in range(len(pairs))]
+    n_nodes, deg_sum, s_inv_d, *per_pair = nodes.agg(
+        F.count("*"), F.sum(d), F.sum(1.0 / d),
+        *(F.sum(t) for t in ts), *(F.sum(t * t / d) for t in ts)
     ).collect()[0]
-    if not t_sum:
-        raise ValueError(f"no target edges for pair ({t1},{t2})")
-    n_edges, f_count = deg_sum // 2, t_sum // 2
-    f2 = float(f_count) ** 2
+    t_sums, s_t2_ds = per_pair[:len(pairs)], per_pair[len(pairs):]
+    for (t1, t2), t_sum in zip(pairs, t_sums):
+        if not t_sum:
+            raise ValueError(f"no target edges for pair ({t1},{t2})")
+    n_edges = deg_sum // 2
+    f_counts = [t_sum // 2 for t_sum in t_sums]
+    f2s = [float(f_count) ** 2 for f_count in f_counts]
     e2d2 = EPS * EPS * DELTA
 
-    # 4.1 and 4.2 — closed forms in (|E|, F).
-    ns_hh = (float(n_edges * f_count) - f2) / (e2d2 * f2)
-    b42 = DELTA * EPS * EPS * f2 / n_edges
-    ns_ht = math.log((1.0 + b42) / b42) / math.log(1.0 / (1.0 - 1.0 / n_edges))
-
-    # 4.3 — sum_u 2|E| T^2 / d; 4.5 reuses it as sum_u T^2 / pi_u.
-    s43 = 2.0 * n_edges * s_t2_d
-    ne_hh = (s43 - 4.0 * f2) / (4.0 * e2d2 * f2)
-
     # 4.4 — max over nodes; pi_u = d/2|E|.
-    b44 = 4.0 * DELTA * EPS * EPS * f2 / n_nodes
-    ne_ht = float(
-        nodes.agg(
-            F.max(F.log((t * t + b44) / b44) / -F.log(1.0 - d / (2.0 * n_edges)))
-        ).collect()[0][0]
-    )
+    b44s = [4.0 * DELTA * EPS * EPS * f2 / n_nodes for f2 in f2s]
+    ne_hts = nodes.agg(*(
+        F.max(F.log((t * t + b44) / b44) / -F.log(1.0 - d / (2.0 * n_edges)))
+        for t, b44 in zip(ts, b44s)
+    )).collect()[0]
 
-    # 4.5 — two Chebyshev conditions.
-    s_inv_pi = 2.0 * n_edges * s_inv_d
-    ne_rw = max(
-        18.0 * (s43 - 4.0 * f2) / (4.0 * e2d2 * f2),
-        18.0 * (s_inv_pi - float(n_nodes) ** 2) / (e2d2 * float(n_nodes) ** 2),
-    )
+    out = []
+    for f_count, f2, s_t2_d, ne_ht in zip(f_counts, f2s, s_t2_ds, ne_hts):
+        # 4.1 and 4.2 — closed forms in (|E|, F).
+        ns_hh = (float(n_edges * f_count) - f2) / (e2d2 * f2)
+        b42 = DELTA * EPS * EPS * f2 / n_edges
+        ns_ht = math.log((1.0 + b42) / b42) / math.log(1.0 / (1.0 - 1.0 / n_edges))
 
-    return {
-        "NeighborSample-HH": ns_hh,
-        "NeighborSample-HT": ns_ht,
-        "NeighborExploration-HH": ne_hh,
-        "NeighborExploration-HT": ne_ht,
-        "NeighborExploration-RW": ne_rw,
-        "F": float(f_count),
-    }
+        # 4.3 — sum_u 2|E| T^2 / d; 4.5 reuses it as sum_u T^2 / pi_u.
+        s43 = 2.0 * n_edges * s_t2_d
+        ne_hh = (s43 - 4.0 * f2) / (4.0 * e2d2 * f2)
+
+        # 4.5 — two Chebyshev conditions.
+        s_inv_pi = 2.0 * n_edges * s_inv_d
+        ne_rw = max(
+            18.0 * (s43 - 4.0 * f2) / (4.0 * e2d2 * f2),
+            18.0 * (s_inv_pi - float(n_nodes) ** 2) / (e2d2 * float(n_nodes) ** 2),
+        )
+
+        out.append({
+            "NeighborSample-HH": ns_hh,
+            "NeighborSample-HT": ns_ht,
+            "NeighborExploration-HH": ne_hh,
+            "NeighborExploration-HT": float(ne_ht),
+            "NeighborExploration-RW": ne_rw,
+            "F": float(f_count),
+        })
+    return out

@@ -10,7 +10,6 @@ O(log n)-round large-star/small-star scheme is not worth its code.
 """
 from __future__ import annotations
 
-import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
@@ -62,15 +61,3 @@ def largest_component_nodes(spark: SparkSession, edges: DataFrame) -> DataFrame:
     )
     return comp.join(top, "component").select("node")
 
-
-def restrict_to_lcc(edges_np: np.ndarray, keep_nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Filter an (E,2) numpy edge array to ``keep_nodes`` and relabel to
-    0..n'-1. Returns (new_edges, old_ids) where old_ids[i] is the
-    original id of new node i.
-    """
-    keep = np.sort(np.asarray(keep_nodes, dtype=np.int64))
-    lookup = -np.ones(int(edges_np.max()) + 2 if edges_np.size else 1, dtype=np.int64)
-    lookup[keep] = np.arange(keep.size)
-    mask = (lookup[edges_np[:, 0]] >= 0) & (lookup[edges_np[:, 1]] >= 0)
-    new_edges = lookup[edges_np[mask]]
-    return new_edges, keep

@@ -1,10 +1,10 @@
 """Ground-truth graph statistics as Catalyst dataflows.
 
-Everything the estimators and bounds are measured against — the exact
-target-edge count F and the per-node table of degree d(u) and
-incident-target count T(u) — is computed here with Spark SQL over the
-(edges, labels) DataFrames, and each query is oracle-checked against
-DuckDB in the tests.
+Everything the bounds are measured against — the per-node table of
+degree d(u) and every target pair's incident-target count T(u), whose
+sum is twice the exact target-edge count F — is computed here with
+Spark SQL over the (edges, labels) DataFrames, and each query is
+oracle-checked against DuckDB in the tests.
 """
 from __future__ import annotations
 
@@ -28,44 +28,29 @@ def labels_df(spark: SparkSession, g: LabeledGraph) -> DataFrame:
     return spark.createDataFrame(pdf)
 
 
-def labeled_edges(edges: DataFrame, labels: DataFrame) -> DataFrame:
-    """(src, dst, src_label, dst_label) — edge list joined to both
-    endpoint labels (two shuffle joins with broadcast disabled)."""
-    lu = labels.select(
-        F.col("node").alias("src"), F.col("label").alias("src_label")
-    )
-    lv = labels.select(
-        F.col("node").alias("dst"), F.col("label").alias("dst_label")
-    )
-    return edges.join(lu, "src").join(lv, "dst").select(
-        "src", "dst", "src_label", "dst_label"
-    )
+def node_table(edges: DataFrame, labels: DataFrame,
+               pairs: list[tuple[int, int]]) -> DataFrame:
+    """(node, degree, t_0 … t_{P−1}) for every node with at least one
+    edge: d(u) and, in column ``t_i``, the paper's T(u) for target pair
+    ``pairs[i]``, zero for nodes with no target edge of that pair.
 
-
-def target_edge_indicator(edges: DataFrame, labels: DataFrame, t1: int, t2: int) -> DataFrame:
-    """(src, dst, is_target) with is_target ∈ {0,1} per paper's target-edge
-    definition (unordered label pair match)."""
-    le = labeled_edges(edges, labels)
-    cond = (
-        ((F.col("src_label") == t1) & (F.col("dst_label") == t2))
-        | ((F.col("src_label") == t2) & (F.col("dst_label") == t1))
-    )
-    return le.select(
-        "src", "dst", F.when(cond, 1).otherwise(0).alias("is_target")
-    )
-
-
-def node_table(edges: DataFrame, labels: DataFrame, t1: int, t2: int) -> DataFrame:
-    """(node, degree, t_count) for every node with at least one edge:
-    d(u) and the paper's T(u), zero for nodes with no target edge.
-
-    One pass over the target-edge indicator: each edge emits
-    (endpoint, is_target) for both ends, and one groupBy counts and sums.
+    One pass for every pair: the edge list joins both endpoint labels
+    (two shuffle joins with broadcast disabled), each edge gets one 0/1
+    target indicator per pair (unordered label pair match), both
+    endpoints emit the edge's indicators, and one groupBy counts and sums.
     """
-    ind = target_edge_indicator(edges, labels, t1, t2)
-    ends = ind.select(F.col("src").alias("node"), "is_target").union(
-        ind.select(F.col("dst").alias("node"), "is_target")
+    lu = labels.select(F.col("node").alias("src"), F.col("label").alias("a"))
+    lv = labels.select(F.col("node").alias("dst"), F.col("label").alias("b"))
+    a, b = F.col("a"), F.col("b")
+    ts = [f"t_{i}" for i in range(len(pairs))]
+    ind = edges.join(lu, "src").join(lv, "dst").select("src", "dst", *(
+        F.when(((a == t1) & (b == t2)) | ((a == t2) & (b == t1)), 1)
+        .otherwise(0).alias(c)
+        for c, (t1, t2) in zip(ts, pairs)
+    ))
+    ends = ind.select(F.col("src").alias("node"), *ts).union(
+        ind.select(F.col("dst").alias("node"), *ts)
     )
     return ends.groupBy("node").agg(
-        F.count("*").alias("degree"), F.sum("is_target").alias("t_count")
+        F.count("*").alias("degree"), *(F.sum(c).alias(c) for c in ts)
     )

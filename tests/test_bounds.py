@@ -64,25 +64,29 @@ class TestBounds:
         got = bounds.all_bounds(e, l, 1, 2)
         assert got["F"] == H.brute_force_f(g, 1, 2)
 
+    def test_by_pair_equals_all_bounds(self, spark, setup):
+        """One multi-pair pass gives each pair exactly its one-pair bounds."""
+        g, e, l = setup
+        pairs = [(1, 2), (2, 2), (1, 3)]
+        got = bounds.bounds_by_pair(e, l, pairs)
+        assert got == [bounds.all_bounds(e, l, *pair) for pair in pairs]
+        for b, pair in zip(got, pairs):
+            for key, val in _numpy_bounds(g, *pair).items():
+                assert b[key] == pytest.approx(val, rel=1e-6), (pair, key)
+
     def test_rarer_pair_needs_more_samples(self, spark, setup):
         """A rarer target pair inflates the NS-HH bound (~|E|/F growth)."""
         g, e, l = setup
-        per_pair = {}
-        for pair in [(1, 2), (1, 3)]:
-            per_pair[pair] = (
-                H.brute_force_f(g, *pair),
-                bounds.all_bounds(e, l, *pair)["NeighborSample-HH"],
-            )
-        (f_a, b_a), (f_b, b_b) = per_pair[(1, 2)], per_pair[(1, 3)]
-        if f_a != f_b:
-            rarer_bound = b_a if f_a < f_b else b_b
-            common_bound = b_b if f_a < f_b else b_a
-            assert rarer_bound > common_bound
+        rarer, common = sorted(bounds.bounds_by_pair(e, l, [(1, 2), (1, 3)]),
+                               key=lambda b: b["F"])
+        assert rarer["F"] < common["F"]
+        assert rarer["NeighborSample-HH"] > common["NeighborSample-HH"]
 
     def test_no_target_edges_raises(self, spark, setup):
+        """The error names the first pair with F = 0, here the second."""
         g, e, l = setup
-        with pytest.raises(ValueError):
-            bounds.all_bounds(e, l, 98, 99)
+        with pytest.raises(ValueError, match=r"pair \(98,99\)"):
+            bounds.bounds_by_pair(e, l, [(1, 2), (98, 99), (97, 99)])
 
     def test_ne_hh_bound_below_ns_hh_for_rare_labels(self, spark):
         """The paper's Tables 20–22 show NE-HH bounds orders below

@@ -71,15 +71,27 @@ class TestTargetPairs:
         assert abs(frac - 0.269) < 0.03  # paper: 26.89%
 
 
-class TestExactFAgainstSpark:
-    @pytest.mark.parametrize("name,pi", [("facebook", 0), ("pokec", 1)])
-    def test_matches_catalyst(self, spark, name, pi):
+@pytest.fixture(scope="class")
+def spark_f(spark):
+    """Every target pair's F = sum_u T(u) / 2, from one node table per
+    dataset."""
+    out = {}
+    for name in ("facebook", "pokec"):
         g = ds.load(name)
-        pair = ds.target_pairs(name)[pi]
-        e = stats.edges_df(spark, g)
-        l = stats.labels_df(spark, g)
-        ind = stats.target_edge_indicator(e, l, *pair)
-        assert ds.exact_f(name, pair) == ind.agg(F.sum("is_target")).collect()[0][0]
+        pairs = ds.target_pairs(name)
+        nodes = stats.node_table(
+            stats.edges_df(spark, g), stats.labels_df(spark, g), pairs)
+        t_sums = nodes.agg(*(F.sum(f"t_{i}") for i in range(len(pairs)))).collect()[0]
+        out[name] = [t_sum // 2 for t_sum in t_sums]
+    return out
+
+
+class TestExactFAgainstSpark:
+    @pytest.mark.parametrize("name,pi", [
+        ("facebook", 0), ("pokec", 0), ("pokec", 1), ("pokec", 2), ("pokec", 3),
+    ])
+    def test_matches_catalyst(self, spark_f, name, pi):
+        assert ds.exact_f(name, ds.target_pairs(name)[pi]) == spark_f[name][pi]
 
 
 class TestPokecLocations:

@@ -127,7 +127,8 @@ class TestRunSampler:
     def test_packing_invariant(self, ctx, layout):
         """Units of every chain and length, with k = 1 among them, give
         the same estimates run as one batch, as two batches or in
-        reversed order: each unit draws only from its own Generator."""
+        reversed order: each walker's draws depend only on its key and
+        the batch's call counter."""
         g, c = ctx
         units = [(s, k, n) for s in ex.SAMPLERS for k, n in ((1, 2), (12, 3), (40, 5))]
 

@@ -20,6 +20,7 @@ class TestTable01:
         from repro.harness import datasets as ds
         for r in t.itertuples():
             assert r.n_nodes == ds.SPECS[r.network].n
+            assert r.n_edges == ds.load(r.network).n_edges
 
 
 class TestTable03:

@@ -46,16 +46,3 @@ class TestConnectedComponents:
         nodes = lcc.largest_component_nodes(spark, edges_df(spark, g)).toPandas()
         assert len(nodes) == g.n
 
-
-class TestRestrict:
-    def test_relabels_contiguously(self):
-        edges = np.array([[0, 1], [1, 2], [3, 4]])
-        new_edges, old = lcc.restrict_to_lcc(edges, np.array([0, 1, 2]))
-        assert old.tolist() == [0, 1, 2]
-        assert new_edges.tolist() == [[0, 1], [1, 2]]
-
-    def test_drops_outside_edges_and_remaps(self):
-        edges = np.array([[2, 5], [5, 9], [0, 1]])
-        new_edges, old = lcc.restrict_to_lcc(edges, np.array([2, 5, 9]))
-        assert old.tolist() == [2, 5, 9]
-        assert new_edges.tolist() == [[0, 1], [1, 2]]

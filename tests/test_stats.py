@@ -36,23 +36,39 @@ class TestEdgesLabelsDF:
         assert (pdf["label"].to_numpy() == g.labels).all()
 
 
-class TestTargetCount:
-    @pytest.mark.parametrize("t1,t2", [(1, 2), (2, 3), (1, 1), (1, 3)])
-    def test_matches_brute_force(self, spark, g, dfs, t1, t2):
-        e, l = dfs
-        ind = stats.target_edge_indicator(e, l, t1, t2)
-        assert ind.agg(F.sum("is_target")).collect()[0][0] == H.brute_force_f(g, t1, t2)
+# One node table over a cross pair, a same-label pair and a second
+# cross pair: column t_i holds pair PAIRS[i].
+PAIRS = [(1, 2), (2, 2), (1, 3)]
 
-    def test_oracle_cross_pair(self, spark, g, dfs):
+
+@pytest.fixture(scope="module")
+def nodes(dfs):
+    e, l = dfs
+    return stats.node_table(e, l, PAIRS).localCheckpoint()
+
+
+def _t(t1, t2):
+    return f"t_{PAIRS.index((t1, t2))}"
+
+
+class TestTargetCount:
+    """F = sum_u T(u) / 2, the count the bounds read, for every pair
+    column."""
+
+    @pytest.mark.parametrize("t1,t2", PAIRS)
+    def test_matches_brute_force(self, spark, g, nodes, t1, t2):
+        t_sum = nodes.agg(F.sum(_t(t1, t2))).collect()[0][0]
+        assert t_sum == 2 * H.brute_force_f(g, t1, t2)
+
+    def test_oracle_cross_pair(self, spark, dfs, nodes):
         e, l = dfs
-        ind = stats.target_edge_indicator(e, l, 1, 2)
-        out = ind.agg(F.sum("is_target").alias("f"))
+        out = nodes.agg(F.sum(_t(1, 2)).alias("t_sum"))
         assert_equivalent(
             out,
             """
-            SELECT CAST(SUM(CASE WHEN (l1.label = 1 AND l2.label = 2)
+            SELECT CAST(2 * SUM(CASE WHEN (l1.label = 1 AND l2.label = 2)
                               OR (l1.label = 2 AND l2.label = 1)
-                         THEN 1 ELSE 0 END) AS BIGINT) AS f
+                         THEN 1 ELSE 0 END) AS BIGINT) AS t_sum
             FROM edges e
             JOIN labels l1 ON e.src = l1.node
             JOIN labels l2 ON e.dst = l2.node
@@ -60,15 +76,14 @@ class TestTargetCount:
             edges=e, labels=l,
         )
 
-    def test_oracle_same_label_pair(self, spark, g, dfs):
+    def test_oracle_same_label_pair(self, spark, dfs, nodes):
         e, l = dfs
-        ind = stats.target_edge_indicator(e, l, 2, 2)
-        out = ind.agg(F.sum("is_target").alias("f"))
+        out = nodes.agg(F.sum(_t(2, 2)).alias("t_sum"))
         assert_equivalent(
             out,
             """
-            SELECT CAST(SUM(CASE WHEN l1.label = 2 AND l2.label = 2
-                         THEN 1 ELSE 0 END) AS BIGINT) AS f
+            SELECT CAST(2 * SUM(CASE WHEN l1.label = 2 AND l2.label = 2
+                         THEN 1 ELSE 0 END) AS BIGINT) AS t_sum
             FROM edges e
             JOIN labels l1 ON e.src = l1.node
             JOIN labels l2 ON e.dst = l2.node
@@ -78,22 +93,21 @@ class TestTargetCount:
 
 
 class TestNodeTable:
-    @pytest.mark.parametrize("t1,t2", [(1, 2), (2, 2)])
-    def test_matches_brute_force(self, spark, g, dfs, t1, t2):
+    @pytest.mark.parametrize("t1,t2", PAIRS)
+    def test_matches_brute_force(self, spark, g, nodes, t1, t2):
         """Every node has a row, nodes with T(u) = 0 included."""
-        e, l = dfs
-        pdf = stats.node_table(e, l, t1, t2).toPandas().set_index("node").sort_index()
+        pdf = nodes.toPandas().set_index("node").sort_index()
         assert pdf.index.tolist() == list(range(g.n))
         assert (pdf["degree"].to_numpy() == g.degrees).all()
         truth = H.brute_force_t(g, t1, t2)
-        assert (pdf["t_count"].to_numpy() == truth).all()
+        assert (pdf[_t(t1, t2)].to_numpy() == truth).all()
         assert (truth == 0).any()
 
-    @pytest.mark.parametrize("t1,t2", [(1, 2), (2, 2)])
-    def test_oracle(self, spark, g, dfs, t1, t2):
+    @pytest.mark.parametrize("t1,t2", PAIRS)
+    def test_oracle(self, spark, dfs, nodes, t1, t2):
         e, l = dfs
         assert_equivalent(
-            stats.node_table(e, l, t1, t2),
+            nodes.select("node", "degree", F.col(_t(t1, t2)).alias("t_count")),
             f"""
             WITH ind AS (
                 SELECT e.src, e.dst,
