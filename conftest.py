@@ -59,9 +59,9 @@ def spark() -> SparkSession:
 
     Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
     pre-JVM-launch). The per-session configs that *are* honoured
-    post-launch (shuffle partitions, Arrow, broadcast joins disabled so
-    label joins exercise the shuffle path) are the jobs' own, from
-    ``repro.harness.session.get_spark``.
+    post-launch (one shuffle partition per core of the master, Arrow,
+    broadcast joins disabled so label joins exercise the shuffle path)
+    are the jobs' own, from ``repro.harness.session.get_spark``.
     """
     s = get_spark("repro")
     # One line in test_output.txt that tells the driver whether the

@@ -21,7 +21,7 @@ def table01(spark: SparkSession) -> pd.DataFrame:
     rows = []
     for name in ds.SPECS:
         g = ds.load(name)
-        e = stats.edges_df(spark, g).localCheckpoint()
+        e = stats.edges_df(spark, g)
         keep = lcc.largest_component_nodes(spark, e).toPandas()["node"].to_numpy()
         rows.append(
             {

@@ -25,8 +25,8 @@ TABLE_NO = {
 def bounds_table(spark: SparkSession, name: str) -> pd.DataFrame:
     """One row per target pair, one column per estimator bound."""
     g = ds.load(name)
-    e = stats.edges_df(spark, g).localCheckpoint()
-    l = stats.labels_df(spark, g).localCheckpoint()
+    e = stats.edges_df(spark, g)
+    l = stats.labels_df(spark, g)
     pairs = ds.target_pairs(name)
     return pd.DataFrame([
         {"pair": str(pair), "F": int(b["F"]), **{c: b[c] for c in COLS}}

@@ -5,7 +5,8 @@ number of samples each estimator needs to guarantee an
 (eps, delta) = (0.1, 0.1) approximation. The bounds are closed-form
 aggregates over the full graph. Every pair's five are read from one
 node table (node, d(u), T(u) for each pair) built by ``stats.node_table``
-(oracle-checked in tests), in two Spark aggregations:
+(oracle-checked in tests): its checkpoint job also observes every sum,
+and one Spark aggregation reads every Theorem 4.4 maximum:
 
 - 4.1 NS-HH:  k >= (sum_e |E| I(e) - F^2) / (eps^2 F^2 delta)
               = (|E| F - F^2) / (eps^2 F^2 delta)
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import math
 
-from pyspark.sql import DataFrame
+from pyspark.sql import DataFrame, Observation
 from pyspark.sql import functions as F
 
 from repro.graphs import stats
@@ -47,17 +48,20 @@ def bounds_by_pair(edges: DataFrame, labels: DataFrame,
 
     Returns one dict per pair, in order, keyed by the paper's algorithm
     abbreviations, plus the exact target-edge count ``F``. One node
-    table with a T column per pair is checkpointed once; one aggregation
-    reads every sum and one every Theorem 4.4 maximum. Raises
-    ``ValueError`` naming the first pair with no target edge.
+    table with a T column per pair is checkpointed once, and that job
+    observes every sum; one aggregation then reads every Theorem 4.4
+    maximum. Raises ``ValueError`` naming the first pair with no target
+    edge.
     """
-    nodes = stats.node_table(edges, labels, pairs).localCheckpoint()
     d = F.col("degree")
     ts = [F.col(f"t_{i}") for i in range(len(pairs))]
-    n_nodes, deg_sum, s_inv_d, *per_pair = nodes.agg(
-        F.count("*"), F.sum(d), F.sum(1.0 / d),
-        *(F.sum(t) for t in ts), *(F.sum(t * t / d) for t in ts)
-    ).collect()[0]
+    obs = Observation()
+    nodes = stats.node_table(edges, labels, pairs).observe(
+        obs, F.count("*").alias("n"), F.sum(d).alias("d"), F.sum(1.0 / d).alias("inv_d"),
+        *(F.sum(t).alias(f"t_sum_{i}") for i, t in enumerate(ts)),
+        *(F.sum(t * t / d).alias(f"t2_d_sum_{i}") for i, t in enumerate(ts)),
+    ).localCheckpoint()
+    n_nodes, deg_sum, s_inv_d, *per_pair = obs.get.values()
     t_sums, s_t2_ds = per_pair[:len(pairs)], per_pair[len(pairs):]
     for (t1, t2), t_sum in zip(pairs, t_sums):
         if not t_sum:

@@ -5,27 +5,45 @@ degree d(u) and every target pair's incident-target count T(u), whose
 sum is twice the exact target-edge count F — is computed here with
 Spark SQL over the (edges, labels) DataFrames, and each query is
 oracle-checked against DuckDB in the tests.
+
+Both frames are Parquet-backed: the driver writes the graph's columns
+with pyarrow to a file in the SparkContext's temp dir, which Spark
+deletes when the context stops, and Spark scans that file. So no task
+carries the graph itself, and a frame needs no checkpoint to be cheap
+to re-read.
 """
 from __future__ import annotations
 
+import os
+import uuid
+
 import numpy as np
-import pandas as pd
+import pyarrow as pa
+import pyarrow.parquet as pq
+from pyspark import SparkFiles
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.graphs.generator import LabeledGraph
 
 
+def _parquet_df(spark: SparkSession, **cols: np.ndarray) -> DataFrame:
+    """A frame of long columns, written once to a fresh Parquet file under
+    ``SparkFiles.getRootDirectory()`` and scanned with a given schema (no
+    schema-inference job)."""
+    path = os.path.join(SparkFiles.getRootDirectory(), f"{uuid.uuid4().hex}.parquet")
+    pq.write_table(pa.table({c: np.asarray(v, dtype=np.int64) for c, v in cols.items()}), path)
+    return spark.read.schema(", ".join(f"{c} long" for c in cols)).parquet(path)
+
+
 def edges_df(spark: SparkSession, g: LabeledGraph) -> DataFrame:
     """(src, dst) DataFrame of the undirected edge list (src < dst)."""
-    pdf = pd.DataFrame({"src": g.edges[:, 0], "dst": g.edges[:, 1]})
-    return spark.createDataFrame(pdf)
+    return _parquet_df(spark, src=g.edges[:, 0], dst=g.edges[:, 1])
 
 
 def labels_df(spark: SparkSession, g: LabeledGraph) -> DataFrame:
     """(node, label) DataFrame."""
-    pdf = pd.DataFrame({"node": np.arange(g.n), "label": g.labels})
-    return spark.createDataFrame(pdf)
+    return _parquet_df(spark, node=np.arange(g.n), label=g.labels)
 
 
 def node_table(edges: DataFrame, labels: DataFrame,

@@ -13,8 +13,8 @@ from tests import _helpers as H
 @pytest.fixture(scope="module")
 def setup(spark):
     g = H.small_random(100, 6, seed=40)
-    e = stats.edges_df(spark, g).localCheckpoint()
-    l = stats.labels_df(spark, g).localCheckpoint()
+    e = stats.edges_df(spark, g)
+    l = stats.labels_df(spark, g)
     return g, e, l
 
 

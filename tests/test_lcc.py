@@ -34,6 +34,18 @@ class TestConnectedComponents:
         with pytest.raises(RuntimeError, match="max_iter=3"):
             lcc.connected_components(spark, edges, max_iter=3)
 
+    def test_chain_round_count(self, spark):
+        """Round r labels node i with max(0, i - r): the chain's labels
+        stop changing at round 10 and round 11 sees the sum hold. So 10
+        rounds raise and 11 converge, which holds only if each round's
+        observed sum is that round's and not the one before it."""
+        edges = _edges_df(spark, np.array([[i, i + 1] for i in range(10)]))
+        with pytest.raises(RuntimeError, match="max_iter=10"):
+            lcc.connected_components(spark, edges, max_iter=10)
+        comp = lcc.connected_components(spark, edges, max_iter=11).toPandas()
+        assert sorted(comp["node"]) == list(range(11))
+        assert (comp["component"] == 0).all()
+
     def test_three_components_sizes(self, spark):
         edges = np.array([[0, 1], [2, 3], [2, 4], [5, 6], [6, 7], [5, 7]])
         nodes = lcc.largest_component_nodes(spark, _edges_df(spark, edges)).toPandas()

@@ -13,3 +13,8 @@ class TestGetSpark:
         assert (
             s.conf.get("spark.sql.execution.arrow.pyspark.enabled") == "true"
         )
+
+    def test_shuffle_partitions_match_cores(self, spark):
+        s = get_spark()
+        assert (int(s.conf.get("spark.sql.shuffle.partitions"))
+                == s.sparkContext.defaultParallelism)

@@ -17,23 +17,38 @@ def g():
 
 @pytest.fixture(scope="module")
 def dfs(spark, g):
-    e = stats.edges_df(spark, g).localCheckpoint()
-    l = stats.labels_df(spark, g).localCheckpoint()
+    e = stats.edges_df(spark, g)
+    l = stats.labels_df(spark, g)
     return e, l
 
 
 class TestEdgesLabelsDF:
+    """The Parquet-backed frames hold exactly the graph's arrays, as long
+    columns."""
+
     def test_edges_roundtrip(self, spark, g, dfs):
         e, _ = dfs
-        pdf = e.toPandas().sort_values(["src", "dst"]).reset_index(drop=True)
-        exp = pd.DataFrame({"src": g.edges[:, 0], "dst": g.edges[:, 1]})
-        exp = exp.sort_values(["src", "dst"]).reset_index(drop=True)
-        pd.testing.assert_frame_equal(pdf, exp, check_dtype=False)
+        assert e.dtypes == [("src", "bigint"), ("dst", "bigint")]
+        got = np.array(sorted(map(tuple, e.collect())))
+        assert np.array_equal(got, np.array(sorted(map(tuple, g.edges))))
 
     def test_labels_roundtrip(self, spark, g, dfs):
         _, l = dfs
-        pdf = l.toPandas().sort_values("node").reset_index(drop=True)
-        assert (pdf["label"].to_numpy() == g.labels).all()
+        assert l.dtypes == [("node", "bigint"), ("label", "bigint")]
+        pdf = l.toPandas().sort_values("node")
+        assert np.array_equal(pdf["node"].to_numpy(), np.arange(g.n))
+        assert np.array_equal(pdf["label"].to_numpy(), g.labels)
+
+    def test_frames_reread_after_later_jobs(self, spark, g):
+        """Each frame has its own file: frames built and used later in the
+        session leave an earlier one readable and unchanged."""
+        e, l = stats.edges_df(spark, g), stats.labels_df(spark, g)
+        other = H.small_random(80, 5, seed=31)
+        stats.node_table(stats.edges_df(spark, other), stats.labels_df(spark, other),
+                         [(1, 2)]).count()
+        assert e.count() == g.n_edges
+        assert sorted(map(tuple, e.collect())) == sorted(map(tuple, g.edges))
+        assert sorted(map(tuple, l.collect())) == list(zip(range(g.n), g.labels))
 
 
 # One node table over a cross pair, a same-label pair and a second
