@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import mixing_time
@@ -25,6 +27,14 @@ from repro.harness.experiment import ALGORITHM_ORDER
 from repro.harness.session import get_spark
 
 JOBS = Path(__file__).resolve().parent
+
+
+@contextmanager
+def phase(name: str):
+    """Print ``name``'s wall time to stderr when the block ends."""
+    t0 = time.perf_counter()
+    yield
+    print(f"[experiments-md] {name}: {time.perf_counter() - t0:.1f} s", file=sys.stderr)
 
 
 def paper_table(no: int) -> pd.DataFrame:
@@ -169,7 +179,8 @@ def main() -> None:
     ]
 
     # Table 1.
-    t01 = table01_stats.table01(spark)
+    with phase("Table 1"):
+        t01 = table01_stats.table01(spark)
     scale = ", ".join(f"{r.network} {r.paper_nv / r.n_nodes:.3g}x ({r.n_edges / r.n_nodes:.3g} "
                       f"vs {r.paper_ne / r.paper_nv:.3g})" for r in t01.itertuples())
     out += ["## Table 1 — dataset statistics", "", "```",
@@ -179,7 +190,8 @@ def main() -> None:
 
     # Mixing times (§5.1).
     if not args.skip_mixing:
-        mix = mixing_time.mixing_table(list(ds.SPECS), eps=1e-3)
+        with phase("mixing"):
+            mix = mixing_time.mixing_table(list(ds.SPECS), eps=1e-3)
         out += ["## §5.1 — mixing times T(1e-3)", "", "```",
                 mix.to_string(index=False), "```", ""]
 
@@ -192,27 +204,25 @@ def main() -> None:
 
     # Tables 4-17.
     out += ["## Tables 4-17 — NRMSE vs sample size (API-call budget)", ""]
-    measured = {}
-    for no in sorted(T.NRMSE_TABLES):
-        t = measured[no] = T.reproduce_nrmse_table(spark, no, n_sims=args.sims, seed=args.seed)
-        out.append(_nrmse_block(no, t, args.sims))
-        print(f"[experiments-md] table {no} done", file=sys.stderr)
+    with phase("Tables 4-17"):
+        measured = T.reproduce_nrmse_tables(spark, T.NRMSE_TABLES, args.sims, args.seed)
+    out += [_nrmse_block(no, t, args.sims) for no, t in measured.items()]
 
     # Tables 18-22.
     out += ["## Tables 18-22 — (0.1,0.1)-approximation sample-size bounds",
             ""]
     bounds = {}
-    for name, no in tables18_22_bounds.TABLE_NO.items():
-        bt = bounds[no] = tables18_22_bounds.bounds_table(spark, name)
-        paper_df = pd.DataFrame(
-            [{"pair": k, **dict(zip(P.BOUND_COLS, v))}
-             for k, v in P.BOUND_TABLES[name].items()]
-        )
-        fmt = {c: (lambda v: f"{v:.3g}") for c in P.BOUND_COLS}
-        out += [f"### Table {no} — {name}", "",
-                *_vs(paper_df.to_string(index=False, formatters=fmt),
-                     bt.to_string(index=False, formatters=fmt)), ""]
-        print(f"[experiments-md] bounds {name} done", file=sys.stderr)
+    with phase("Tables 18-22"):
+        for name, no in tables18_22_bounds.TABLE_NO.items():
+            bt = bounds[no] = tables18_22_bounds.bounds_table(spark, name)
+            paper_df = pd.DataFrame(
+                [{"pair": k, **dict(zip(P.BOUND_COLS, v))}
+                 for k, v in P.BOUND_TABLES[name].items()]
+            )
+            fmt = {c: (lambda v: f"{v:.3g}") for c in P.BOUND_COLS}
+            out += [f"### Table {no} — {name}", "",
+                    *_vs(paper_df.to_string(index=False, formatters=fmt),
+                         bt.to_string(index=False, formatters=fmt)), ""]
 
     # Tables 23-26.
     out += ["## Tables 23-26 — best algorithm at 5%|V| API calls", ""]

@@ -17,10 +17,8 @@ from repro.harness.session import get_spark
 
 
 def run(spark: SparkSession, n_sims: int, seed: int) -> dict:
-    return T.best_summaries([
-        T.reproduce_nrmse_table(spark, no, n_sims=n_sims, seed=seed)
-        for no in T.NRMSE_TABLES
-    ])
+    return T.best_summaries(list(
+        T.reproduce_nrmse_tables(spark, T.NRMSE_TABLES, n_sims=n_sims, seed=seed).values()))
 
 
 def main() -> None:

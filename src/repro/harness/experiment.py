@@ -2,20 +2,21 @@
 
 The paper's Tables 4–17 report, per (dataset, target pair), the NRMSE
 of 10 algorithms over sample sizes 0.5%|V| … 5%|V|, each cell averaged
-over 200 independent simulations. This harness:
+over 200 independent simulations. No walk reads a label, so one job
+walks for every target pair of a dataset. This harness:
 
 1. builds the CSR/degree/line-degree arrays once per graph on the
    driver and broadcasts them once per graph and SparkContext; the
-   label/T(u)/indicator arrays of one target pair are built and
-   broadcast per table,
+   label/T(u)/indicator arrays of the job's target pairs are built per
+   pair and broadcast together,
 2. packs (sampler × sample-size × simulation-chunk) units, each seeded
    by its own indices, into about one ``mapInPandas`` task per core;
    each task runs its units as two lock-step NumPy batches, the node
    walks (NS, NE) and the line-graph walks (EX-*), on counter-based
    draws keyed per walker from the unit's Generator (``core.walks``),
-   and emits one frame of (algorithm, simulation) F-estimates,
+   and emits one frame of (pair, algorithm, simulation) F-estimates,
 3. collects those rows once and computes NRMSE, and its delta-method
-   standard error, per (algorithm, sample size) on the driver.
+   standard error, per (pair, algorithm, sample size) on the driver.
 
 Sampler granularity: NeighborSample yields both NS-HH and NS-HT from
 one sampled trajectory, NeighborExploration yields NE-HH/NE-HT/NE-RW,
@@ -125,22 +126,23 @@ def build_context(g: LabeledGraph, pair: tuple[int, int], burnin: int) -> dict:
     }
 
 
-def run_samplers(ctx: dict, units: list[tuple[str, int, int, np.random.Generator]]
-                 ) -> list[dict[str, np.ndarray]]:
-    """Run a batch of units (sampler, k, n_sims, rng): the node walks
-    (NS, NE) as one lock-step batch and the line-graph walks (EX-*) as
-    another, each longest unit first. Returns each unit's per-algorithm
-    estimate vectors of length n_sims, in the order given. Every walker
-    draws from its own key and the batch's call counter exactly what it
-    draws alone, so a unit's estimates do not depend on the batch it
-    shares."""
-    csr, burnin = ctx["csr"], ctx["burnin"]
+def run_samplers(ctxs: list[dict], units: list[tuple[str, int, int, np.random.Generator]]
+                 ) -> list[list[dict[str, np.ndarray]]]:
+    """Run a batch of units (sampler, k, n_sims, rng) on the graph and
+    burn-in that ``ctxs`` share: the node walks (NS, NE) as one lock-step
+    batch and the line-graph walks (EX-*) as another, each longest unit
+    first. Returns, per unit in the order given, each context's
+    per-algorithm estimate vectors of length n_sims, from the same walks.
+    Every walker draws from its own key and the batch's call counter
+    exactly what it draws alone, so a unit's estimates do not depend on
+    the batch it shares."""
+    csr, burnin = ctxs[0]["csr"], ctxs[0]["burnin"]
     order = sorted(range(len(units)), key=lambda i: -units[i][1])
     node = [i for i in order if units[i][0] in ("NS", "NE")]
     line = [i for i in order if units[i][0] not in ("NS", "NE")]
     walked = dict(zip(node, walks.srw_runs(csr, burnin, [units[i][1:] for i in node])))
-    walked.update(zip(line, ex.walk(csr, ctx["line_deg"], burnin, [units[i] for i in line])))
-    return [_estimates(ctx, sampler, k, walked[i])
+    walked.update(zip(line, ex.walk(csr, ctxs[0]["line_deg"], burnin, [units[i] for i in line])))
+    return [[_estimates(ctx, sampler, k, walked[i]) for ctx in ctxs]
             for i, (sampler, k, _, _) in enumerate(units)]
 
 
@@ -176,7 +178,7 @@ def run_sampler(ctx: dict, sampler: str, k: int, n_sims: int,
                 rng: np.random.Generator) -> dict[str, np.ndarray]:
     """Run one chain for a chunk of simulations; return per-algorithm
     estimate vectors of length n_sims (``run_samplers`` with one unit)."""
-    return run_samplers(ctx, [(sampler, k, n_sims, rng)])[0]
+    return run_samplers([ctx], [(sampler, k, n_sims, rng)])[0][0]
 
 
 def _broadcast_graph(sc: SparkContext, ctx: dict) -> Broadcast:
@@ -196,22 +198,29 @@ def _broadcast_graph(sc: SparkContext, ctx: dict) -> Broadcast:
     return _graph_bcast[2]
 
 
-def simulate_all(spark: SparkSession, ctx: dict,
+def simulate_all(spark: SparkSession, *ctxs: dict,
                  sample_fracs: tuple[float, ...] = DEFAULT_FRACS,
                  n_sims: int = 60, seed: int = 0) -> DataFrame:
     """Fan the Monte Carlo out over Spark: every chain in SAMPLERS, at
-    every sample size, in units of at most CHUNK simulations.
+    every sample size, in units of at most CHUNK simulations, each unit
+    walked once for all of ``ctxs`` (target pairs on one graph).
 
-    Returns a DataFrame (algorithm, frac, k, sim, est) with one row per
-    (algorithm, simulation). Each task runs its packed units as two
-    lock-step batches (``run_samplers``). Raises ValueError, before any
-    Spark job, on ``n_sims < 1``, no ``sample_fracs``, or a fraction that
-    is not finite, not positive or repeated (a repeat would pool two
-    seeds' simulations into one cell).
+    Returns a DataFrame (pair, algorithm, frac, k, sim, est) with one
+    row per (index into ``ctxs``, algorithm, simulation). Each task runs
+    its packed units as two lock-step batches (``run_samplers``). Raises
+    ValueError, before any Spark job, on no context, a non-dict context
+    or contexts that do not share graph arrays and burn-in, ``n_sims < 1``, no
+    ``sample_fracs``, or a fraction that is not finite, not positive or
+    repeated (a repeat would pool two seeds' simulations into one cell).
     The graph arrays are broadcast once per graph and SparkContext and
-    the pair arrays per call; evaluate the result before calling this on
-    another graph, which destroys the previous graph's broadcast.
+    all pair arrays once per call; evaluate the result before calling
+    this on another graph, which destroys the previous graph's broadcast.
     """
+    ctx = ctxs[0] if ctxs else None
+    if ctx is None or not all(isinstance(c, dict) and c["burnin"] == ctx["burnin"]
+                              and all(c[k] is ctx[k] for k in GRAPH_KEYS) for c in ctxs):
+        raise ValueError("simulate_all takes contexts sharing one graph and burnin "
+                         "(sample_fracs, n_sims and seed are keyword-only)")
     if n_sims < 1:
         raise ValueError(f"n_sims must be >= 1, got {n_sims}")
     if not sample_fracs:
@@ -239,45 +248,49 @@ def simulate_all(spark: SparkSession, ctx: dict,
         heapq.heappush(loads, (load + (ctx["burnin"] + unit[2]) * unit[4], t))
     sc = spark.sparkContext
     graph_bc = _broadcast_graph(sc, ctx)
-    pair_bc = sc.broadcast({k: v for k, v in ctx.items() if k not in GRAPH_KEYS})
+    pairs_bc = sc.broadcast([{k: v for k, v in c.items() if k not in GRAPH_KEYS} for c in ctxs])
 
     def run_units(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        local_ctx = {**graph_bc.value, **pair_bc.value}
+        local_ctxs = [{**graph_bc.value, **p} for p in pairs_bc.value]
         for pdf in batches:
             for t in pdf["id"]:
-                ests = run_samplers(local_ctx, [
+                ests = run_samplers(local_ctxs, [
                     (sampler, k, n, np.random.default_rng(key))
                     for sampler, _, k, _, n, key in packed[t]])
                 yield pd.concat([pd.DataFrame({
-                    "algorithm": alg, "frac": frac, "k": k,
+                    "pair": pair, "algorithm": alg, "frac": frac, "k": k,
                     "sim": np.arange(sim0, sim0 + n),
                     "est": vec.astype(np.float64),
-                }) for (_, frac, k, sim0, n, _), est in zip(packed[t], ests)
+                }) for (_, frac, k, sim0, n, _), per_pair in zip(packed[t], ests)
+                    for pair, est in enumerate(per_pair)
                     for alg, vec in est.items()], ignore_index=True)
 
-    schema = "algorithm string, frac double, k long, sim long, est double"
+    schema = "pair long, algorithm string, frac double, k long, sim long, est double"
     return spark.range(0, n_tasks, 1, n_tasks).mapInPandas(run_units, schema=schema)
 
 
-def nrmse_table(spark: SparkSession, g: LabeledGraph, pair: tuple[int, int],
-                burnin: int, sample_fracs: tuple[float, ...] = DEFAULT_FRACS,
-                n_sims: int = 60, seed: int = 0) -> pd.DataFrame:
-    """One paper-style NRMSE table: rows = algorithms (paper order),
-    columns = sample-size fractions, values = NRMSE over n_sims. The
-    estimates are collected once and Eq. 24 is computed on the driver.
+def nrmse_tables(spark: SparkSession, g: LabeledGraph, pairs: list[tuple[int, int]],
+                 burnin: int, sample_fracs: tuple[float, ...] = DEFAULT_FRACS,
+                 n_sims: int = 60, seed: int = 0) -> list[pd.DataFrame]:
+    """One paper-style NRMSE table per target pair, from one
+    ``simulate_all`` job on ``g``: rows = algorithms (paper order),
+    columns = sample-size fractions, values = NRMSE over n_sims. A
+    table does not depend on the other pairs in the job. The estimates
+    are collected once and Eq. 24 is computed on the driver.
     ``attrs["se"]`` holds each cell's delta-method standard error,
-    sd((F̂−F)²) / (2√n · NRMSE · F²), from the same n estimates (sd
-    with n − 1 degrees of freedom)."""
-    ctx = build_context(g, pair, burnin)
-    est = simulate_all(spark, ctx, sample_fracs, n_sims=n_sims, seed=seed).toPandas()
-    truth = float(ctx["F"])
-    pivot = est.groupby(["algorithm", "frac"])["est"].agg(
-        lambda e: nrmse(e.to_numpy(), truth)).unstack("frac")
-    pivot = pivot.loc[ALGORITHM_ORDER, sorted(pivot.columns)]
-    sq = ((est["est"] - truth) ** 2).groupby([est["algorithm"], est["frac"]])
-    sd = (sq.std() / np.sqrt(sq.count())).unstack("frac").loc[pivot.index, pivot.columns]
-    pivot.attrs["se"] = sd / (2 * pivot * truth ** 2)
-    pivot.attrs["F"] = ctx["F"]
-    pivot.attrs["n_edges"] = ctx["n_edges"]
-    pivot.attrs["n_nodes"] = ctx["n_nodes"]
-    return pivot
+    sd((F̂−F)²) / (2√n · NRMSE · F²), from the same n estimates (sd with
+    n − 1 degrees of freedom), or 0 where every estimate is exactly F."""
+    ctxs = [build_context(g, pair, burnin) for pair in pairs]
+    rows = simulate_all(spark, *ctxs, sample_fracs=sample_fracs, n_sims=n_sims, seed=seed)
+    out = []
+    for ctx, (_, est) in zip(ctxs, rows.toPandas().groupby("pair")):
+        truth = float(ctx["F"])
+        pivot = est.groupby(["algorithm", "frac"])["est"].agg(
+            lambda e: nrmse(e.to_numpy(), truth)).unstack("frac")
+        pivot = pivot.loc[ALGORITHM_ORDER, sorted(pivot.columns)]
+        sq = ((est["est"] - truth) ** 2).groupby([est["algorithm"], est["frac"]])
+        sd = (sq.std() / np.sqrt(sq.count())).unstack("frac").loc[pivot.index, pivot.columns]
+        pivot.attrs["se"] = (sd / (2 * pivot * truth ** 2)).mask(pivot == 0, 0.0)
+        pivot.attrs.update(F=ctx["F"], n_edges=ctx["n_edges"], n_nodes=ctx["n_nodes"])
+        out.append(pivot)
+    return out

@@ -10,7 +10,7 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.harness import datasets
-from repro.harness.experiment import DEFAULT_FRACS, nrmse_table
+from repro.harness.experiment import DEFAULT_FRACS, nrmse_tables
 from repro.harness.findings import FULL
 
 # paper table number -> (dataset, index into target_pairs(dataset))
@@ -23,6 +23,12 @@ NRMSE_TABLES: dict[int, tuple[str, int]] = {
     16: ("livejournal", 2), 17: ("livejournal", 3),
 }
 
+# dataset -> its paper table numbers, in paper order.
+DATASET_TABLES: dict[str, list[int]] = {
+    name: [no for no, (d, _) in NRMSE_TABLES.items() if d == name]
+    for name, _ in NRMSE_TABLES.values()
+}
+
 # paper table number (23-26) -> dataset(s) summarized
 BEST_TABLES: dict[int, tuple[str, ...]] = {
     23: ("facebook", "googleplus"),
@@ -32,20 +38,29 @@ BEST_TABLES: dict[int, tuple[str, ...]] = {
 }
 
 
+def reproduce_nrmse_tables(spark: SparkSession, table_nos, n_sims: int = 60,
+                           seed: int = 0, sample_fracs: tuple[float, ...] = DEFAULT_FRACS
+                           ) -> dict[int, pd.DataFrame]:
+    """Tables ``table_nos`` (a collection of 4–17) by number, one job per
+    dataset, seeded with ``seed`` plus the dataset's first table number:
+    a table does not depend on which other tables run with it."""
+    out = {}
+    for name in dict.fromkeys(NRMSE_TABLES[no][0] for no in sorted(table_nos)):
+        nos = [no for no in DATASET_TABLES[name] if no in table_nos]
+        pairs = [datasets.target_pairs(name)[NRMSE_TABLES[no][1]] for no in nos]
+        ts = nrmse_tables(spark, datasets.load(name), pairs, datasets.SPECS[name].burnin,
+                          sample_fracs, n_sims, seed + DATASET_TABLES[name][0])
+        for no, pair, t in zip(nos, pairs, ts):
+            t.attrs.update(dataset=name, pair=pair, table_no=no)
+            out[no] = t
+    return out
+
+
 def reproduce_nrmse_table(spark: SparkSession, table_no: int,
                           n_sims: int = 60, seed: int = 0,
                           sample_fracs: tuple[float, ...] = DEFAULT_FRACS) -> pd.DataFrame:
-    """Reproduce one of Tables 4–17."""
-    name, pair_idx = NRMSE_TABLES[table_no]
-    spec = datasets.SPECS[name]
-    g = datasets.load(name)
-    pair = datasets.target_pairs(name)[pair_idx]
-    t = nrmse_table(
-        spark, g, pair, burnin=spec.burnin, sample_fracs=sample_fracs,
-        n_sims=n_sims, seed=seed + table_no,
-    )
-    t.attrs.update(dataset=name, pair=pair, table_no=table_no)
-    return t
+    """Reproduce one of Tables 4–17 (``reproduce_nrmse_tables`` of one)."""
+    return reproduce_nrmse_tables(spark, [table_no], n_sims, seed, sample_fracs)[table_no]
 
 
 def best_at_frac(table: pd.DataFrame) -> tuple[str, float]:

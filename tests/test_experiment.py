@@ -133,8 +133,8 @@ class TestRunSampler:
         units = [(s, k, n) for s in ex.SAMPLERS for k, n in ((1, 2), (12, 3), (40, 5))]
 
         def run(idx):
-            return dict(zip(idx, ex.run_samplers(c, [
-                (*units[i], np.random.default_rng([7, i])) for i in idx])))
+            return dict(zip(idx, (e[0] for e in ex.run_samplers([c], [
+                (*units[i], np.random.default_rng([7, i])) for i in idx]))))
 
         one = run(range(len(units)))
         other = {i: est for idx in layout for i, est in run(idx).items()}
@@ -189,12 +189,13 @@ class TestSimulateAll:
         fracs, seed, n_sims = (0.001, 0.02, 0.05), 4, ex.CHUNK + 2
         for burnin in (80, 0):
             c = ex.build_context(ctx[0], (1, 2), burnin=burnin)
-            got = ex.simulate_all(spark, c, fracs, n_sims=n_sims, seed=seed).toPandas()
+            got = ex.simulate_all(spark, c, sample_fracs=fracs, n_sims=n_sims,
+                                  seed=seed).toPandas()
             want = []
             for t in replay.tasks(c["n_nodes"], n_sims, ex.CHUNK, fracs):
                 for alg, vec in ex.run_sampler(c, t.sampler, t.k, t.n,
                                                replay.task_rng(seed, t)).items():
-                    want += [(alg, t.frac, t.k, t.sim0 + i, e) for i, e in enumerate(vec)]
+                    want += [(0, alg, t.frac, t.k, t.sim0 + i, e) for i, e in enumerate(vec)]
             want = pd.DataFrame(want, columns=list(got.columns))
             by = ["algorithm", "frac", "sim"]
             got = got.sort_values(by).reset_index(drop=True)
@@ -213,7 +214,7 @@ class TestSimulateAll:
 
     @staticmethod
     def _rows(spark, c):
-        est = ex.simulate_all(spark, c, (0.05,), n_sims=4, seed=5).toPandas()
+        est = ex.simulate_all(spark, c, sample_fracs=(0.05,), n_sims=4, seed=5).toPandas()
         return est.sort_values(["algorithm", "sim"]).reset_index(drop=True)
 
     @staticmethod
@@ -230,8 +231,23 @@ class TestSimulateAll:
         a = self._rows(spark, c)
         b = self._rows(spark, c)
         pd.testing.assert_frame_equal(a, b, check_exact=True)
-        assert sum("csr" in v for v in made) == 1
-        assert all("edge_ind" in v for v in made if "csr" not in v)
+        graphs = [v for v in made if isinstance(v, dict)]
+        assert len(graphs) == 1 and "csr" in graphs[0]
+        # One pair broadcast per call, holding the one context's arrays.
+        assert [[("edge_ind" in p, "csr" in p) for p in v] for v in made if v not in graphs] == [
+            [(True, False)]] * 2
+
+    def test_one_pair_broadcast_per_job(self, spark, monkeypatch):
+        """Three pairs on one graph: one job ships every pair's arrays in
+        one broadcast, and each pair's rows carry its index."""
+        g = H.small_random(120, 6, seed=64)
+        cs = [ex.build_context(g, p, burnin=20) for p in [(1, 2), (2, 2), (1, 3)]]
+        made = self._spy_broadcasts(spark, monkeypatch)
+        est = ex.simulate_all(spark, *cs, sample_fracs=(0.05,), n_sims=4, seed=5).toPandas()
+        pair_bcs = [v for v in made if isinstance(v, list)]
+        assert len(pair_bcs) == 1
+        assert [p["F"] for p in pair_bcs[0]] == [c["F"] for c in cs]
+        assert est.groupby("pair").size().to_dict() == {0: 40, 1: 40, 2: 40}
 
     def test_graph_switch_keeps_rows(self, spark, monkeypatch):
         """A, then B, then A again: B's broadcast replaces A's, and A's
@@ -288,12 +304,35 @@ class TestSimulateAll:
         with pytest.raises(ValueError, match=match):
             ex.simulate_all(spark, c, **{"n_sims": 4, **bad})
 
+    def test_rejects_no_context(self, spark, monkeypatch):
+        made = self._spy_broadcasts(spark, monkeypatch)
+        with pytest.raises(ValueError, match="takes contexts"):
+            ex.simulate_all(spark, n_sims=4)
+        assert made == []
+
+    @pytest.mark.parametrize("other", ["graph", "burnin", "positional_fracs"])
+    def test_rejects_contexts_not_sharing_graph_and_burnin(self, spark, ctx, monkeypatch, other):
+        """Every context must read the walk's graph arrays and burn-in;
+        an equal copy of the graph does not count, and sample fractions
+        passed by position are not a context."""
+        g, c = ctx
+        mixed = {
+            "graph": lambda: ex.build_context(
+                LabeledGraph(g.n, g.edges.copy(), g.labels, g.name), (1, 2), burnin=c["burnin"]),
+            "burnin": lambda: {**c, "burnin": c["burnin"] + 1},
+            "positional_fracs": lambda: (0.05,),
+        }[other]()
+        made = self._spy_broadcasts(spark, monkeypatch)
+        with pytest.raises(ValueError, match="sharing one graph and burnin"):
+            ex.simulate_all(spark, c, mixed, n_sims=4)
+        assert made == []
+
 
 class TestNRMSETable:
     def test_shape_and_attrs(self, spark, ctx):
         g, c = ctx
-        t = ex.nrmse_table(
-            spark, g, (1, 2), burnin=40, sample_fracs=(0.02, 0.05),
+        [t] = ex.nrmse_tables(
+            spark, g, [(1, 2)], burnin=40, sample_fracs=(0.02, 0.05),
             n_sims=6, seed=3,
         )
         assert list(t.columns) == [0.02, 0.05]
@@ -307,10 +346,11 @@ class TestNRMSETable:
         budgets are passed out of order and come back sorted."""
         g, _ = ctx
         fracs = (0.05, 0.001, 0.02)
-        t = ex.nrmse_table(spark, g, (1, 2), burnin=40, sample_fracs=fracs,
-                           n_sims=ex.CHUNK + 2, seed=3)
+        [t] = ex.nrmse_tables(spark, g, [(1, 2)], burnin=40, sample_fracs=fracs,
+                              n_sims=ex.CHUNK + 2, seed=3)
         c = ex.build_context(g, (1, 2), burnin=40)
-        est = ex.simulate_all(spark, c, fracs, n_sims=ex.CHUNK + 2, seed=3).toPandas()
+        est = ex.simulate_all(spark, c, sample_fracs=fracs, n_sims=ex.CHUNK + 2,
+                              seed=3).toPandas()
         assert list(t.columns) == sorted(fracs)
         for alg in ex.ALGORITHM_ORDER:
             for frac in fracs:
@@ -325,10 +365,10 @@ class TestNRMSETable:
         over that cell's rows of ``simulate_all``."""
         g, _ = ctx
         fracs = (0.02, 0.05)
-        t = ex.nrmse_table(spark, g, (1, 2), burnin=40, sample_fracs=fracs,
-                           n_sims=9, seed=5)
+        [t] = ex.nrmse_tables(spark, g, [(1, 2)], burnin=40, sample_fracs=fracs,
+                              n_sims=9, seed=5)
         c = ex.build_context(g, (1, 2), burnin=40)
-        est = ex.simulate_all(spark, c, fracs, n_sims=9, seed=5).toPandas()
+        est = ex.simulate_all(spark, c, sample_fracs=fracs, n_sims=9, seed=5).toPandas()
         F = float(c["F"])
         assert list(t.attrs["se"].index) == ex.ALGORITHM_ORDER
         assert list(t.attrs["se"].columns) == list(fracs)
@@ -338,6 +378,35 @@ class TestNRMSETable:
                       .to_numpy() - F) ** 2
                 want = np.std(sq, ddof=1) / (2 * np.sqrt(sq.size) * t.loc[alg, frac] * F ** 2)
                 assert t.attrs["se"].loc[alg, frac] == pytest.approx(want, rel=1e-12)
+
+    def test_se_is_zero_where_every_estimate_is_exact(self, spark):
+        """With every node labelled 1 and pair (1, 1), every edge is a
+        target edge: NS-HH, NE-HH and every EX-* row estimate F exactly
+        at the smallest budgets, so those cells' NRMSE and SE are 0, not
+        0/0."""
+        g = H.small_random(60, 6, seed=3)
+        g = LabeledGraph(g.n, g.edges, np.ones(g.n, dtype=g.labels.dtype), g.name)
+        [t] = ex.nrmse_tables(spark, g, [(1, 1)], burnin=10, n_sims=5, seed=2)
+        se, exact = t.attrs["se"], (t == 0)
+        assert list(exact.index[exact.any(axis=1)]) == [
+            a for a in ex.ALGORITHM_ORDER if a.endswith("-HH") or a.startswith("EX-")]
+        assert se.notna().all().all()
+        assert (se[exact] == 0).sum().sum() == exact.sum().sum()
+        assert (se >= 0).all().all()
+
+    def test_each_pair_as_if_alone(self, spark, ctx):
+        """A pair's table, values and ``attrs["se"]``, is bit-identical
+        whether its job also estimates other pairs or not."""
+        g, _ = ctx
+        pairs = [(1, 2), (2, 2), (1, 3)]
+        kw = dict(burnin=30, sample_fracs=(0.001, 0.05), n_sims=ex.CHUNK + 2, seed=8)
+        together = ex.nrmse_tables(spark, g, pairs, **kw)
+        for pair, t in zip(pairs, together):
+            [alone] = ex.nrmse_tables(spark, g, [pair], **kw)
+            pd.testing.assert_frame_equal(t, alone, check_exact=True)
+            pd.testing.assert_frame_equal(t.attrs["se"], alone.attrs["se"], check_exact=True)
+            assert t.attrs["F"] == alone.attrs["F"]
+        assert len({t.attrs["F"] for t in together}) == 3
 
 
 class TestBenchmarkProbes:

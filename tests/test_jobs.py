@@ -7,6 +7,7 @@ import table_nrmse
 import tables18_22_bounds
 
 from repro.harness import findings as F
+from repro.harness import tables as T
 
 
 class TestTable01:
@@ -32,7 +33,7 @@ class TestTable03:
 
 class TestNRMSEJob:
     def test_dataset_table_map_covers_4_to_17(self):
-        nos = sorted(n for v in table_nrmse.DATASET_TABLES.values() for n in v)
+        nos = sorted(n for v in T.DATASET_TABLES.values() for n in v)
         assert nos == list(range(4, 18))
 
     def test_run_facebook_tiny(self, spark):

@@ -77,3 +77,26 @@ class TestFormat:
         assert t.attrs["pair"] == (1, 2)
         assert t.shape == (10, 2)
         assert (t.to_numpy() >= 0).all()
+
+
+class TestReproduce:
+    def test_one_table_equals_its_dataset_job(self, spark):
+        """Table 11 alone equals Table 11 from the job that runs all four
+        Orkut tables: each dataset is seeded with seed + its first table
+        number, and a pair's table does not depend on the other pairs."""
+        kw = dict(n_sims=2, seed=1, sample_fracs=(0.005,))
+        alone = T.reproduce_nrmse_table(spark, 11, **kw)
+        together = T.reproduce_nrmse_tables(spark, [13, 10, 12, 11], **kw)
+        assert list(together) == [10, 11, 12, 13]
+        assert [together[no].attrs["pair"] for no in together] == [
+            T.datasets.target_pairs("orkut")[i] for i in range(4)]
+        pd.testing.assert_frame_equal(alone, together[11], check_exact=True)
+        pd.testing.assert_frame_equal(alone.attrs["se"], together[11].attrs["se"],
+                                      check_exact=True)
+        assert ({k: v for k, v in alone.attrs.items() if k != "se"}
+                == {k: v for k, v in together[11].attrs.items() if k != "se"})
+
+    def test_unknown_table_raises(self):
+        """Raised before any dataset loads or any Spark job runs."""
+        with pytest.raises(KeyError):
+            T.reproduce_nrmse_tables(None, [4, 3], n_sims=1)
